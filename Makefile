@@ -4,7 +4,7 @@
 GO      ?= go
 FUZZTIME ?= 30s
 
-.PHONY: all vet build test race lint lint-fixtures fuzz-smoke bench-smoke pareto-smoke serve-smoke serve-load-smoke serve-shard-smoke engine-diff engine-diff-parallel ci clean
+.PHONY: all vet build test race lint lint-fixtures fuzz-smoke bench-smoke bench-update pareto-smoke serve-smoke serve-load-smoke serve-shard-smoke engine-diff engine-diff-parallel ci clean
 
 all: build
 
@@ -54,23 +54,30 @@ fuzz-smoke:
 	$(GO) test ./internal/wire -run '^$$' -fuzz FuzzDecodeWire -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/sched/incremental -run '^$$' -fuzz FuzzScheduleInvariants -fuzztime $(FUZZTIME)
 
+# The packages whose benchmarks BENCH_baseline.json pins. bench-smoke and
+# bench-update both run exactly this list: benchdiff -update writes only what
+# it measured, so refreshing from a shorter list would silently drop pins.
+BENCH_PKGS := ./internal/sched/incremental ./internal/engine \
+	./internal/explore/pareto ./internal/wire ./internal/server
+
 # Short benchmark pass compared against the committed baseline. Warn-only by
 # design: shared runners are noisy, so regressions annotate the run instead
 # of failing it (the allocation-free contracts are enforced for real by the
-# AllocsPerRun guard tests under `make test`). Refresh the baseline on a
-# quiet machine with:
-#   $(GO) test ./internal/sched/incremental ./internal/explore ./internal/engine \
-#     ./internal/wire ./internal/server \
-#     -run '^$$' -bench . -benchmem -benchtime 1s | $(GO) run ./cmd/benchdiff -update
-# After -update, re-pin BenchmarkParallelKernel/n=4096/P=4 to 1 alloc/op:
-# at the smoke benchtime that benchmark runs a single iteration, which can
-# catch one runtime sudog allocation from channel parking (it amortizes to 0
-# at any longer benchtime; the analyzer's own 0-alloc contract is enforced
-# by the AllocsPerRun guard tests, not by this warn-only smoke pass).
+# AllocsPerRun guard tests under `make test`). Baseline entries the run did
+# not measure warn as drift too, so a deleted or renamed benchmark shows up.
 bench-smoke:
-	$(GO) test ./internal/sched/incremental ./internal/explore ./internal/engine \
-	  ./internal/explore/pareto ./internal/wire ./internal/server \
+	$(GO) test $(BENCH_PKGS) \
 	  -run '^$$' -bench . -benchmem -benchtime 100ms | $(GO) run ./cmd/benchdiff $(BENCHDIFF_FLAGS)
+
+# Refresh BENCH_baseline.json on a quiet machine. Afterwards, re-pin
+# BenchmarkParallelKernel/n=4096/P=4 to 1 alloc/op: at the smoke benchtime
+# that benchmark runs a single iteration, which can catch one runtime sudog
+# allocation from channel parking (it amortizes to 0 at any longer
+# benchtime; the analyzer's own 0-alloc contract is enforced by the
+# AllocsPerRun guard tests, not by the warn-only smoke pass).
+bench-update:
+	$(GO) test $(BENCH_PKGS) \
+	  -run '^$$' -bench . -benchmem -benchtime 1s | $(GO) run ./cmd/benchdiff -update
 
 # Determinism gate for the multi-objective search (DESIGN §3.11): the smoke
 # search's Pareto front must hash to the golden fingerprint pinned in

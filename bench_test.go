@@ -16,7 +16,6 @@ import (
 	"testing"
 
 	"github.com/mia-rt/mia/internal/arbiter"
-	"github.com/mia-rt/mia/internal/explore"
 	"github.com/mia-rt/mia/internal/gen"
 	"github.com/mia-rt/mia/internal/model"
 	"github.com/mia-rt/mia/internal/noc"
@@ -181,27 +180,6 @@ func BenchmarkSimulator(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := sim.Run(g, res.Release, sim.Config{Pattern: sim.Front}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// Design-space exploration enablement: candidate schedules evaluated per
-// second with the O(n²) analysis as inner loop — the practical payoff of
-// the paper's speedup (at the baseline's per-evaluation cost, the same
-// search would take days).
-func BenchmarkExploreEvaluation(b *testing.B) {
-	p := gen.NewParams(8, 16)
-	g := gen.MustLayered(p)
-	res, err := explore.Anneal(context.Background(), g, explore.Options{Seed: 1, MaxEvaluations: 2})
-	if err != nil {
-		b.Fatal(err)
-	}
-	_ = res
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := explore.Anneal(context.Background(), g, explore.Options{Seed: int64(i), MaxEvaluations: 20}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -4,8 +4,12 @@
 //
 // Usage:
 //
-//	go test ./... -bench . -benchmem -benchtime 100x | benchdiff -baseline BENCH_baseline.json
-//	go test ./... -bench . -benchmem | benchdiff -baseline BENCH_baseline.json -update
+//	go test <pkgs> -run '^$' -bench . -benchmem | benchdiff -baseline BENCH_baseline.json
+//	go test <pkgs> -run '^$' -bench . -benchmem | benchdiff -baseline BENCH_baseline.json -update
+//
+// The Makefile wraps both over one package list, BENCH_PKGS: `make
+// bench-smoke` compares and `make bench-update` re-pins, so a refresh
+// always measures every package the baseline covers.
 //
 // The comparison is deliberately a *smoke* check, not a statistics suite:
 // shared CI runners are noisy, so a benchmark only draws a warning when it
@@ -18,7 +22,9 @@
 // path ships with (see the AllocsPerRun guards). Custom b.ReportMetric units
 // (latency quantiles such as p50-ms) are pinned and compared the same way,
 // except that a metric the baseline does not pin yet compares silently — a
-// benchmark may grow metrics before the baseline is refreshed. With -gha,
+// benchmark may grow metrics before the baseline is refreshed. A baseline
+// entry the run did not measure warns as drift, so a deleted or renamed
+// benchmark shows up instead of silently losing its pin. With -gha,
 // warnings are emitted as GitHub Actions ::warning annotations.
 package main
 
@@ -205,6 +211,20 @@ func run(ctx context.Context, args []string, stdin io.Reader, stdout io.Writer) 
 			}
 		}
 	}
+	// A pinned benchmark the run did not measure is drift as well: either
+	// the run covered fewer packages than the baseline, or the benchmark
+	// was deleted or renamed and its entry is stale.
+	pinned := make([]string, 0, len(base.Benchmarks))
+	for name := range base.Benchmarks {
+		if _, ok := measured[name]; !ok {
+			pinned = append(pinned, name)
+		}
+	}
+	sort.Strings(pinned)
+	for _, name := range pinned {
+		warn("%s: in baseline but not measured — deleted, renamed, or outside this run (refresh with make bench-update)", name)
+		drift++
+	}
 	switch {
 	case regressions == 0 && drift == 0:
 		fmt.Fprintf(stdout, "benchdiff: %d benchmarks within %.1fx of baseline\n", len(names), *threshold)
@@ -271,7 +291,7 @@ func parseBench(r io.Reader) (map[string]entry, error) {
 // writeBaseline pins the measured numbers as the new baseline.
 func writeBaseline(path string, measured map[string]entry) error {
 	b := baseline{
-		Note:       "regenerate: go test ./... -bench . -benchmem | benchdiff -baseline BENCH_baseline.json -update",
+		Note:       "regenerate: make bench-update",
 		Benchmarks: measured,
 	}
 	data, err := json.MarshalIndent(&b, "", "  ")

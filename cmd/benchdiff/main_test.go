@@ -129,6 +129,27 @@ func TestUnknownBenchmarkWarns(t *testing.T) {
 	}
 }
 
+func TestUnmeasuredBaselineEntryWarns(t *testing.T) {
+	path := writeTempBaseline(t, sampleBench)
+	// The run no longer produces the cold sub-benchmark (deleted or
+	// renamed): its pin must surface as drift, not vanish silently.
+	partial := strings.Replace(sampleBench,
+		"BenchmarkRescheduleWarm/n=256/cold-8         	    1000	    210000 ns/op	   60720 B/op	     264 allocs/op\n", "", 1)
+	var out bytes.Buffer
+	if err := run(context.Background(), []string{"-baseline", path}, strings.NewReader(partial), &out); err != nil {
+		t.Fatalf("a stale baseline entry must not fail the run: %v", err)
+	}
+	if !strings.Contains(out.String(), "BenchmarkRescheduleWarm/n=256/cold: in baseline but not measured") {
+		t.Fatalf("missing stale-entry warning:\n%s", out.String())
+	}
+	if !strings.Contains(out.String(), "could not be fully compared") || strings.Contains(out.String(), "regression(s)") {
+		t.Fatalf("a stale entry must count as drift, not as a regression:\n%s", out.String())
+	}
+	if strings.Contains(out.String(), "BenchmarkRescheduleWarm/n=256/warm") {
+		t.Fatalf("measured benchmarks must not be reported stale:\n%s", out.String())
+	}
+}
+
 // TestDegenerateBaselines pins the hardened comparison paths: non-positive
 // pinned values and candidate-only metrics draw warn-annotations instead of
 // panicking, dividing into ±Inf, or passing silently. Every case must still

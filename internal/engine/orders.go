@@ -9,9 +9,7 @@ import "github.com/mia-rt/mia/internal/model"
 // value is not safe for concurrent use — it belongs to exactly one
 // analyzer, like the backend state it feeds.
 type Orders struct {
-	img  *Image
-	flat []model.TaskID
-	view [][]model.TaskID // per-core windows into flat
+	view [][]model.TaskID // per-core windows into one flat backing array
 }
 
 // NewOrders returns a fresh mutable copy of the image's baseline per-core
@@ -23,7 +21,7 @@ func (img *Image) NewOrders() *Orders {
 	for k := 0; k < img.Cores; k++ {
 		view[k] = flat[img.OrderStart[k]:img.OrderStart[k+1]:img.OrderStart[k+1]]
 	}
-	return &Orders{img: img, flat: flat, view: view}
+	return &Orders{view: view}
 }
 
 // Cores returns the number of per-core orders.
@@ -52,8 +50,7 @@ func (o *Orders) Swap(k model.CoreID, pos int) {
 // SetOrder overwrites core k's order with a copy of order — the bulk
 // counterpart of Swap for consumers that load whole candidate permutations
 // (the Pareto search's per-worker genome loading). The length must match
-// the compiled per-core order length: task migration requires a recompile,
-// exactly as for CopyFrom.
+// the compiled per-core order length: task migration requires a recompile.
 //
 //mia:hotpath
 func (o *Orders) SetOrder(k model.CoreID, order []model.TaskID) {
@@ -62,22 +59,3 @@ func (o *Orders) SetOrder(k model.CoreID, order []model.TaskID) {
 	}
 	copy(o.view[k], order)
 }
-
-// CopyFrom overwrites the overlay with g's current per-core orders. The
-// graph must have the compiled graph's task-to-core assignment (order
-// permutations are the supported mutation; task migration requires a
-// recompile), which keeps every per-core order length unchanged.
-//
-//mia:hotpath
-func (o *Orders) CopyFrom(g *model.Graph) {
-	for k := range o.view {
-		src := g.Order(model.CoreID(k))
-		if len(src) != len(o.view[k]) {
-			panic("engine: Orders.CopyFrom: per-core order length changed since Compile (task migration requires a recompile)")
-		}
-		copy(o.view[k], src)
-	}
-}
-
-// Reset restores the image's baseline orders.
-func (o *Orders) Reset() { copy(o.flat, o.img.OrderIDs) }

@@ -1,10 +1,8 @@
 // Package objective defines the pluggable evaluation criteria of the
 // design-space search framework: each Objective maps one analyzed candidate
 // — a compiled problem image plus the schedule the engine computed for it —
-// to a scalar score to minimize. The search layers above are generic over
-// objectives: the scalarized hill-climb/anneal walk a single exact-integer
-// objective, and the NSGA-II portfolio search optimizes a vector of them at
-// once, reporting the Pareto front.
+// to a scalar score to minimize. The NSGA-II portfolio search (package
+// pareto) optimizes a vector of them at once, reporting the Pareto front.
 //
 // All objectives are computed from ONE analysis per candidate: the engine
 // run produces the schedule (makespan, per-bank interference split), and the
@@ -51,17 +49,6 @@ type Objective interface {
 	Score(e Eval) float64
 }
 
-// Scalar is an objective with an exact integer form, used by the scalarized
-// searches (hill climbing, annealing) whose accept decisions must stay
-// bit-identical to the pre-framework explorer: integer comparisons cannot
-// pick up float rounding at any magnitude.
-type Scalar interface {
-	Objective
-	// Cost is the exact integer score of a valid eval. Invalid candidates
-	// are scored model.Infinity by the search layer, never passed here.
-	Cost(e Eval) model.Cycles
-}
-
 // Makespan is the paper's objective: the global worst-case response time
 // max_i (release_i + response_i).
 type Makespan struct{}
@@ -71,9 +58,6 @@ func (Makespan) Name() string { return "makespan" }
 
 // Score implements Objective.
 func (Makespan) Score(e Eval) float64 { return float64(e.Res.Makespan) }
-
-// Cost implements Scalar.
-func (Makespan) Cost(e Eval) model.Cycles { return e.Res.Makespan }
 
 // PeakBankInterference is the SINTEO-style memory objective: the largest
 // per-bank interference total, max_b Σ_i PerBank[i][b]. Minimizing it

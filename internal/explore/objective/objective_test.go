@@ -35,11 +35,7 @@ func TestMakespanScalar(t *testing.T) {
 	if !e.Valid() {
 		t.Fatal("eval invalid")
 	}
-	var m Scalar = Makespan{}
-	if got := m.Cost(e); got != e.Res.Makespan {
-		t.Fatalf("Cost = %d, want %d", got, e.Res.Makespan)
-	}
-	if got := m.Score(e); got != float64(e.Res.Makespan) {
+	if got := (Makespan{}).Score(e); got != float64(e.Res.Makespan) {
 		t.Fatalf("Score = %g, want %g", got, float64(e.Res.Makespan))
 	}
 }

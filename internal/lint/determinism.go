@@ -21,11 +21,10 @@ var coreScopes = []string{
 	// point placement to stay a pure function of the member list, or two
 	// routers disagree about ownership mid-failover.
 	"internal/shard",
-	// The search framework (moves, objectives, scalarized searches, and the
-	// NSGA-II front) promises byte-identical Pareto output at any -jobs
-	// level and across repeated seeded runs (DESIGN §3.11); a stray
-	// wall-clock read, global rand draw, or map-order leak breaks that
-	// contract silently.
+	// The design-space search (objectives and the NSGA-II front) promises
+	// byte-identical Pareto output at any -jobs level and across repeated
+	// seeded runs (DESIGN §3.11); a stray wall-clock read, global rand
+	// draw, or map-order leak breaks that contract silently.
 	"internal/explore",
 }
 

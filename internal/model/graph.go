@@ -87,8 +87,8 @@ func (g *Graph) SetOrder(k CoreID, order []TaskID) {
 
 // SwapOrder exchanges the tasks at positions pos and pos+1 of core k's
 // execution order in place, without copying the order slice. It is the
-// allocation-free move primitive of the design-space explorer: a swap is
-// undone by calling SwapOrder again with the same arguments. The caller is
+// allocation-free adjacent-swap move: a swap is undone by calling
+// SwapOrder again with the same arguments. The caller is
 // responsible for position bounds and for re-validating dependency
 // consistency.
 func (g *Graph) SwapOrder(k CoreID, pos int) {

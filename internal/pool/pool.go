@@ -1,7 +1,7 @@
 // Package pool provides the bounded, deterministic worker pool behind the
 // repository's parallel sweeps: the benchmark harness fans (family, size,
-// algorithm) points out over it, and the design-space explorer evaluates
-// whole swap neighborhoods concurrently.
+// algorithm) points out over it, and the Pareto search evaluates each
+// generation's candidates concurrently.
 //
 // The pool's contract is what makes parallelism safe to expose in tools
 // whose output is diffed byte-for-byte in tests:
@@ -80,13 +80,13 @@ func Map[T any](ctx context.Context, jobs, n int, f func(ctx context.Context, i 
 // state is owned by exactly one goroutine for the duration of the call, so
 // tasks may mutate it freely without synchronization — the idiom behind
 // allocation-frugal sweeps where each worker reuses one scratch graph or one
-// warm scheduler instead of cloning per task. Which state executes which
+// warm analyzer instead of cloning per task. Which state executes which
 // index is scheduling-dependent; determinism therefore requires f's result
 // to not depend on the state it ran with (e.g. every state is a clone of the
-// same graph), which is exactly the contract the explorer's differential
-// tests pin down. len(states) plays the role of jobs: one state means
-// sequential execution in the calling goroutine. MapWith panics if states is
-// empty and n > 0.
+// same graph), which is exactly the contract the Pareto search's
+// cross-jobs byte-identity tests pin down. len(states) plays the role of
+// jobs: one state means sequential execution in the calling goroutine.
+// MapWith panics if states is empty and n > 0.
 func MapWith[S, T any](ctx context.Context, states []S, n int, f func(ctx context.Context, st S, i int) (T, error)) ([]T, error) {
 	if len(states) == 0 && n > 0 {
 		panic("pool: MapWith needs at least one worker state")

@@ -1,9 +1,11 @@
 package incremental
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
+	"github.com/mia-rt/mia/internal/engine"
 	"github.com/mia-rt/mia/internal/gen"
 	"github.com/mia-rt/mia/internal/model"
 	"github.com/mia-rt/mia/internal/sched"
@@ -21,7 +23,8 @@ func benchGraph(b *testing.B, layers, layerSize int) *model.Graph {
 }
 
 // BenchmarkScheduleIncremental measures one full cold analysis through the
-// reusable Scheduler (checkpoint recording on, steady-state buffers warm).
+// engine's warm analyzer (checkpoint recording on, steady-state buffers
+// warm).
 // The b.ReportMetric of allocs/op is the number the CI smoke job tracks: the
 // event loop must stay at zero.
 func BenchmarkScheduleIncremental(b *testing.B) {
@@ -32,15 +35,15 @@ func BenchmarkScheduleIncremental(b *testing.B) {
 	} {
 		n := size.layers * size.layerSize
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			g := benchGraph(b, size.layers, size.layerSize)
-			sc := NewScheduler(g, sched.Options{})
-			if _, err := sc.Schedule(); err != nil {
+			w := newWarmFor(b, benchGraph(b, size.layers, size.layerSize), sched.Options{})
+			ctx := context.Background()
+			if _, err := w.Analyze(ctx); err != nil {
 				b.Fatal(err)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := sc.Schedule(); err != nil {
+				if _, err := w.Analyze(ctx); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -71,22 +74,24 @@ func BenchmarkRescheduleWarm(b *testing.B) {
 		if dep {
 			pos--
 		}
-		edits := []Edit{{Core: 0, From: pos}}
+		edits := []engine.Edit{{Core: 0, From: pos}}
 
 		b.Run(fmt.Sprintf("n=%d/warm", n), func(b *testing.B) {
-			sc := NewScheduler(g, sched.Options{})
-			if _, err := sc.Schedule(); err != nil {
+			w := newWarmFor(b, g, sched.Options{})
+			ord := w.Orders()
+			ctx := context.Background()
+			if _, err := w.Analyze(ctx); err != nil {
 				b.Fatal(err)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				g.SwapOrder(0, pos)
-				if _, err := sc.Reschedule(edits...); err != nil {
+				ord.Swap(0, pos)
+				if _, err := w.Reschedule(ctx, edits...); err != nil {
 					b.Fatal(err)
 				}
-				g.SwapOrder(0, pos)
-				if _, err := sc.Reschedule(edits...); err != nil {
+				ord.Swap(0, pos)
+				if _, err := w.Reschedule(ctx, edits...); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -34,8 +34,8 @@
 // adjacency, one flat demand backing array — rather than the pointer-rich
 // model.Graph, and runs the per-core orders from a mutable engine.Orders
 // overlay. Package-level Schedule stays the compatibility entry point that
-// compiles per call; the engine backend ("incremental") and the warm-start
-// Scheduler reuse one image across runs.
+// compiles per call; the engine backend ("incremental") and its warm
+// analyzer reuse one image across runs.
 package incremental
 
 import (
@@ -125,8 +125,8 @@ type state struct {
 	events int
 
 	// ckpt, when non-nil, is invoked at the top of every event iteration,
-	// before the event at the current cursor is processed. The warm-start
-	// Scheduler uses it to capture checkpoints at event boundaries; it is
+	// before the event at the current cursor is processed. The warm
+	// analyzer uses it to capture checkpoints at event boundaries; it is
 	// nil for one-shot runs and during replays.
 	ckpt func()
 
@@ -269,7 +269,7 @@ func (s *state) emit(kind sched.EventKind, t model.Cycles, task model.TaskID, va
 
 // run is the event loop of Algorithm 1.
 //
-//mia:hotpath steady-state event loop: 0 allocs/op pinned by alloc_test.go
+//mia:hotpath steady-state event loop: 0 allocs/op pinned by the engine alloc guards
 func (s *state) run() (*sched.Result, error) {
 	n := s.img.NumTasks
 	for s.closed < n {

@@ -1,11 +1,13 @@
 package incremental
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"testing"
 
 	"github.com/mia-rt/mia/internal/arbiter"
+	"github.com/mia-rt/mia/internal/engine"
 	"github.com/mia-rt/mia/internal/gen"
 	"github.com/mia-rt/mia/internal/model"
 	"github.com/mia-rt/mia/internal/sched"
@@ -14,7 +16,7 @@ import (
 // legalSwapSites enumerates (core, pos) adjacent swaps that keep the graph
 // structurally valid: no direct dependency between the swapped pair and
 // Validate accepting the swapped order. Cross-core deadlocks may survive
-// this filter — exactly as in the explorer — so scheduling a swapped
+// this filter — exactly as in the Pareto search — so scheduling a swapped
 // candidate may still fail, and the differential tests assert that warm and
 // cold agree on the failure too.
 func legalSwapSites(g *model.Graph) [][2]int {
@@ -55,13 +57,33 @@ func sampleSites(sites [][2]int, max int) [][2]int {
 	return out
 }
 
+// newWarmFor compiles g under opts and returns the engine's warm analyzer over
+// the image. The analyzer's Orders overlay starts as a copy of g's orders;
+// tests keep the two in step with swapBoth so the graph stays the cold
+// reference for the overlay the analyzer sees.
+func newWarmFor(t testing.TB, g *model.Graph, opts sched.Options) engine.Warm {
+	t.Helper()
+	img, err := engine.Compile(g, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return engine.MustNew(engine.Incremental).NewWarm(img)
+}
+
+// swapBoth applies one adjacent swap to the graph and to the analyzer's
+// overlay alike.
+func swapBoth(g *model.Graph, w engine.Warm, k model.CoreID, pos int) {
+	g.SwapOrder(k, pos)
+	w.Orders().Swap(k, pos)
+}
+
 // assertWarmMatchesCold compares one warm-started re-analysis against a cold
 // Schedule of the same mutated graph: identical error verdicts, and
 // bit-identical schedules (including per-bank splits and event counts) when
 // schedulable.
-func assertWarmMatchesCold(t *testing.T, label string, sc *Scheduler, g *model.Graph, opts sched.Options, edits ...Edit) {
+func assertWarmMatchesCold(t *testing.T, label string, w engine.Warm, g *model.Graph, opts sched.Options, edits ...engine.Edit) {
 	t.Helper()
-	warm, werr := sc.Reschedule(edits...)
+	warm, werr := w.Reschedule(context.Background(), edits...)
 	cold, cerr := Schedule(g, opts)
 	if (werr == nil) != (cerr == nil) {
 		t.Fatalf("%s: warm err %v, cold err %v", label, werr, cerr)
@@ -88,6 +110,7 @@ func TestWarmStartMatchesColdSchedule(t *testing.T) {
 		arbiter.NewRoundRobin(3),
 		arbiter.NewWeightedRR(1, func(c model.CoreID) int64 { return int64(c)%2 + 1 }),
 	}
+	ctx := context.Background()
 	corpus := differentialCorpus()
 	if len(corpus) < 200 {
 		t.Fatalf("differential corpus has %d instances, want ≥ 200", len(corpus))
@@ -109,8 +132,8 @@ func TestWarmStartMatchesColdSchedule(t *testing.T) {
 			ci, p.Layers, p.LayerSize, p.Cores, p.Banks, p.SharedBank,
 			opts.EffectiveArbiter().Name(), opts.SeparateCompetitors, opts.DisableFastPath)
 
-		sc := NewScheduler(g, opts)
-		baseWarm, err := sc.Schedule()
+		w := newWarmFor(t, g, opts)
+		baseWarm, err := w.Analyze(ctx)
 		if err != nil {
 			t.Fatalf("%s: base schedule: %v", label, err)
 		}
@@ -123,13 +146,14 @@ func TestWarmStartMatchesColdSchedule(t *testing.T) {
 		for si, site := range sampleSites(legalSwapSites(g), 5) {
 			k, pos := site[0], site[1]
 			swapLabel := fmt.Sprintf("%s swap[%d]=(core %d, pos %d)", label, si, k, pos)
-			g.SwapOrder(model.CoreID(k), pos)
-			assertWarmMatchesCold(t, swapLabel, sc, g, opts, Edit{Core: model.CoreID(k), From: pos})
-			g.SwapOrder(model.CoreID(k), pos) // undo
+			edit := engine.Edit{Core: model.CoreID(k), From: pos}
+			swapBoth(g, w, edit.Core, pos)
+			assertWarmMatchesCold(t, swapLabel, w, g, opts, edit)
+			swapBoth(g, w, edit.Core, pos) // undo
 			// The baseline checkpoints must have survived the excursion:
 			// rescheduling the undone graph reproduces the base run.
 			if si == 0 {
-				back, err := sc.Reschedule(Edit{Core: model.CoreID(k), From: pos})
+				back, err := w.Reschedule(ctx, edit)
 				if err != nil {
 					t.Fatalf("%s: reschedule after undo: %v", swapLabel, err)
 				}
@@ -143,18 +167,18 @@ func TestWarmStartMatchesColdSchedule(t *testing.T) {
 	}
 }
 
-// TestWarmStartMultiEdit pins the multi-site contract: when the graph
-// diverges from the baseline at several cores at once (an accepted move plus
-// a candidate, the steady state of annealing), Reschedule must restore a
-// checkpoint preceding every site and still match the cold analysis.
+// TestWarmStartMultiEdit pins the multi-site contract: when the orders
+// diverge from the baseline at several cores at once (an accepted move plus
+// a candidate), Reschedule must restore a checkpoint preceding every site
+// and still match the cold analysis.
 func TestWarmStartMultiEdit(t *testing.T) {
 	p := gen.NewParams(8, 6)
 	p.Seed = 42
 	p.Cores, p.Banks = 4, 4
 	g := gen.MustLayered(p)
 	opts := sched.Options{Arbiter: arbiter.NewRoundRobin(1)}
-	sc := NewScheduler(g, opts)
-	if _, err := sc.Schedule(); err != nil {
+	w := newWarmFor(t, g, opts)
+	if _, err := w.Analyze(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	sites := legalSwapSites(g)
@@ -162,7 +186,7 @@ func TestWarmStartMultiEdit(t *testing.T) {
 		t.Skip("graph has fewer than two legal swap sites")
 	}
 	applied := 0
-	var edits []Edit
+	var edits []engine.Edit
 	for _, site := range sites {
 		if applied == 2 {
 			break
@@ -175,13 +199,14 @@ func TestWarmStartMultiEdit(t *testing.T) {
 			g.SwapOrder(model.CoreID(site[0]), site[1])
 			continue
 		}
-		edits = append(edits, Edit{Core: model.CoreID(site[0]), From: site[1]})
+		w.Orders().Swap(model.CoreID(site[0]), site[1])
+		edits = append(edits, engine.Edit{Core: model.CoreID(site[0]), From: site[1]})
 		applied++
 	}
 	if applied < 2 {
 		t.Skip("could not combine two swaps on distinct cores")
 	}
-	assertWarmMatchesCold(t, "multi-edit", sc, g, opts, edits...)
+	assertWarmMatchesCold(t, "multi-edit", w, g, opts, edits...)
 }
 
 // TestWarmStartFrontSwapFallsBackCold covers the no-safe-checkpoint path: a
@@ -193,8 +218,8 @@ func TestWarmStartFrontSwapFallsBackCold(t *testing.T) {
 	p.Cores, p.Banks = 4, 2
 	g := gen.MustLayered(p)
 	opts := sched.Options{}
-	sc := NewScheduler(g, opts)
-	base, err := sc.Schedule()
+	w := newWarmFor(t, g, opts)
+	base, err := w.Analyze(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,10 +232,11 @@ func TestWarmStartFrontSwapFallsBackCold(t *testing.T) {
 		if site[1] != 0 {
 			continue
 		}
-		g.SwapOrder(model.CoreID(site[0]), site[1])
-		assertWarmMatchesCold(t, "front swap", sc, g, opts, Edit{Core: model.CoreID(site[0]), From: 0})
-		g.SwapOrder(model.CoreID(site[0]), site[1])
-		back, err := sc.Reschedule(Edit{Core: model.CoreID(site[0]), From: 0})
+		edit := engine.Edit{Core: model.CoreID(site[0]), From: 0}
+		swapBoth(g, w, edit.Core, 0)
+		assertWarmMatchesCold(t, "front swap", w, g, opts, edit)
+		swapBoth(g, w, edit.Core, 0)
+		back, err := w.Reschedule(context.Background(), edit)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -221,14 +247,14 @@ func TestWarmStartFrontSwapFallsBackCold(t *testing.T) {
 }
 
 // TestRescheduleWithoutBaseBehavesAsSchedule pins the degenerate entry
-// point: a Reschedule before any Schedule commits a cold run.
+// point: a Reschedule before any Analyze commits a cold run.
 func TestRescheduleWithoutBaseBehavesAsSchedule(t *testing.T) {
 	p := gen.NewParams(5, 5)
 	p.Cores, p.Banks = 4, 2
 	g := gen.MustLayered(p)
 	opts := sched.Options{}
-	sc := NewScheduler(g, opts)
-	warm, err := sc.Reschedule()
+	w := newWarmFor(t, g, opts)
+	warm, err := w.Reschedule(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,4 +263,7 @@ func TestRescheduleWithoutBaseBehavesAsSchedule(t *testing.T) {
 		t.Fatal(err)
 	}
 	identical(t, "no-base reschedule", warm, cold)
+	if !w.Warm() {
+		t.Fatal("a successful baseless Reschedule must commit a warm baseline")
+	}
 }

@@ -121,7 +121,7 @@ func (wk *worker) analyze(ctx context.Context, s *Server, img *engine.Image, has
 type rescheduleRequest struct {
 	Hash string `json:"hash"`
 	// Swaps are applied in sequence: each exchanges positions pos and pos+1
-	// of core's execution order (the explorer's move primitive).
+	// of core's execution order (the adjacent-swap move).
 	Swaps []swapEdit `json:"swaps"`
 }
 
@@ -158,7 +158,8 @@ func (s *Server) handleReschedule(w http.ResponseWriter, r *http.Request) {
 // baseline; the requested swaps are applied to the analyzer's order
 // overlay, the suffix behind the earliest divergence is replayed, and the
 // swaps are undone so the baseline stays valid for the next request (the
-// explorer's apply-evaluate-undo pattern, stretched across requests).
+// apply-evaluate-undo pattern of neighborhood search, stretched across
+// requests).
 //
 // memo, when non-nil, memoizes successful replies by the fingerprint of
 // the evaluated configuration. Equal fingerprints mean identical analysis

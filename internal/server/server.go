@@ -19,9 +19,9 @@
 // analyzer for that fingerprint shares the one image, and only the
 // analyzer's order overlay and checkpoints are per-worker. Repeat analyses
 // and single-edit reschedules replay a checkpointed suffix instead of
-// re-analyzing from t=0 — the same warm-start reuse the design-space
-// explorer exploits, now held across requests. Warm replays are bit-identical
-// to cold runs (the scheduler's differential suite pins this), so a client
+// re-analyzing from t=0 — warm-start reuse held across requests. Warm
+// replays are bit-identical to cold runs (the incremental backend's
+// differential suite pins this), so a client
 // cannot observe whether its response came from a checkpoint: only latency
 // and the cache counters differ.
 //
