@@ -4,7 +4,7 @@
 GO      ?= go
 FUZZTIME ?= 30s
 
-.PHONY: all vet build test race lint lint-fixtures fuzz-smoke bench-smoke bench-update pareto-smoke serve-smoke serve-load-smoke serve-shard-smoke engine-diff engine-diff-parallel ci clean
+.PHONY: all vet build test race lint lint-fixtures fuzz-smoke bench-smoke bench-update pareto-smoke serve-smoke serve-load-smoke serve-shard-smoke engine-diff engine-diff-parallel e2ebench-check ci clean
 
 all: build
 
@@ -134,7 +134,14 @@ serve-load-smoke:
 serve-shard-smoke:
 	$(GO) test -race -tags servesmoke -run TestServeShardSmoke -v ./cmd/miaload
 
-ci: lint build race fuzz-smoke bench-smoke pareto-smoke serve-smoke serve-load-smoke serve-shard-smoke
+# The end-to-end benchmark is a module of its own (e2ebench/go.mod replaces
+# this module with ../), so `go build ./...` here never compiles it. Vet and
+# short-test it so an API change it depends on fails CI, not the next
+# benchmark run. GOPROXY=off: it has no dependencies to fetch.
+e2ebench-check:
+	cd e2ebench && GOPROXY=off $(GO) vet ./... && GOPROXY=off $(GO) test -short ./...
+
+ci: lint build race fuzz-smoke bench-smoke pareto-smoke serve-smoke serve-load-smoke serve-shard-smoke e2ebench-check
 
 clean:
 	$(GO) clean ./...

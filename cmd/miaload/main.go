@@ -48,6 +48,7 @@ import (
 
 	"github.com/mia-rt/mia/internal/gen"
 	"github.com/mia-rt/mia/internal/model"
+	"github.com/mia-rt/mia/internal/ndjson"
 	"github.com/mia-rt/mia/internal/shard"
 	"github.com/mia-rt/mia/internal/wire"
 )
@@ -481,23 +482,7 @@ func readResponse(resp *http.Response, isBatch bool) (int64, error) {
 	if !isBatch {
 		return int64(len(rb)), nil
 	}
-	for _, line := range strings.Split(strings.TrimRight(string(rb), "\n"), "\n") {
-		var l struct {
-			Status    int  `json:"status"`
-			Done      bool `json:"done"`
-			Truncated bool `json:"truncated"`
-		}
-		if err := json.Unmarshal([]byte(line), &l); err != nil {
-			return int64(len(rb)), err
-		}
-		if l.Done && l.Truncated {
-			return int64(len(rb)), fmt.Errorf("batch truncated")
-		}
-		if !l.Done && l.Status != http.StatusOK {
-			return int64(len(rb)), fmt.Errorf("item status %d", l.Status)
-		}
-	}
-	return int64(len(rb)), nil
+	return int64(len(rb)), ndjson.CheckBatch(rb)
 }
 
 // quantile reads the q-quantile from an ascending sample by the

@@ -6,6 +6,8 @@ package srv
 import (
 	"io"
 	"net/http"
+
+	"example.com/hflow/internal/ndjson"
 )
 
 // handleMissing forgets to reply on the early-return path.
@@ -120,4 +122,24 @@ func handleJustified(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusOK)
 	//mialint:ignore handlerflow -- probe endpoint: the duplicate write exercises the client's superfluous-header tolerance
 	w.WriteHeader(http.StatusTeapot)
+}
+
+// handleStreamThenError starts a stream through the helper type in another
+// package, then tries to reply with an error: the stream already committed
+// the 200.
+func handleStreamThenError(w http.ResponseWriter, r *http.Request) {
+	st := ndjson.Start(w)
+	if r.URL.Path == "/late" {
+		reply(w, http.StatusInternalServerError, "too late") // want handlerflow:"srv\\.reply writes a second response status"
+		return
+	}
+	st.Finish()
+}
+
+// handleStreamFinish starts a stream, writes lines and finishes it: one
+// commit on every path. Clean.
+func handleStreamFinish(w http.ResponseWriter, r *http.Request) {
+	st := ndjson.Start(w)
+	st.Line([]byte("{\"index\":0}\n"))
+	st.Finish()
 }

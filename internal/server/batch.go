@@ -4,14 +4,13 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"io"
 	"net/http"
-	"strconv"
 	"time"
 
 	"github.com/mia-rt/mia/internal/engine"
 	"github.com/mia-rt/mia/internal/model"
+	"github.com/mia-rt/mia/internal/ndjson"
 	"github.com/mia-rt/mia/internal/wire"
 )
 
@@ -41,31 +40,6 @@ type batchRequest struct {
 // baseline orders.
 type batchItem struct {
 	Swaps []swapEdit `json:"swaps"`
-}
-
-// batchLine is one NDJSON result line: the item's index in the request, the
-// status the same scenario would have received as a unary response, and
-// that response's body — the schedule under "result" on success, the error
-// message otherwise.
-type batchLine struct {
-	Index  int             `json:"index"`
-	Status int             `json:"status"`
-	Result json.RawMessage `json:"result,omitempty"`
-	Error  string          `json:"error,omitempty"`
-}
-
-// batchTrailer is the final NDJSON line of every batch response. Truncated
-// batches — client gone, deadline expired, server draining mid-stream —
-// still carry every completed result above the trailer, and the trailer
-// says so explicitly (the serving twin of miabench's "# TRUNCATED" CSV
-// marker): completed counts the result lines actually written, and Reason
-// names the interruption.
-type batchTrailer struct {
-	Done      bool   `json:"done"`
-	Items     int    `json:"items"`
-	Completed int    `json:"completed"`
-	Truncated bool   `json:"truncated"`
-	Reason    string `json:"reason,omitempty"`
 }
 
 // handleBatch serves POST /v1/batch. The graph is resolved and compiled on
@@ -171,7 +145,7 @@ func (s *Server) streamBatch(w http.ResponseWriter, r *http.Request, hash string
 	ctx, cancel := s.requestCtx(r)
 	defer cancel()
 
-	lines := make(chan batchLine, len(items)+1)
+	lines := make(chan []byte, len(items)+1)
 	admitted := s.runner.TrySubmit(func(wk *worker) {
 		if s.gate != nil {
 			s.gate()
@@ -192,7 +166,7 @@ func (s *Server) streamBatch(w http.ResponseWriter, r *http.Request, hash string
 			rep := safeJob(ctx, wk, func(ctx context.Context, wk *worker) reply {
 				return wk.whatIf(ctx, s, hash, swaps, memo)
 			})
-			lines <- toBatchLine(i, rep)
+			lines <- batchLine(i, rep)
 		}
 	})
 	if !admitted {
@@ -206,76 +180,8 @@ func (s *Server) streamBatch(w http.ResponseWriter, r *http.Request, hash string
 		return
 	}
 
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
+	st := ndjson.Start(w, &s.met.streamedBytes)
 	s.met.countResponse(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
-	completed := 0
-	write := func(b []byte) {
-		w.Write(b)
-		s.met.streamedBytes.Add(int64(len(b)))
-	}
-	flush := func() {
-		if flusher != nil {
-			flusher.Flush()
-		}
-	}
-	writeLine := func(v any) {
-		b, err := json.Marshal(v)
-		if err != nil {
-			return // a line that cannot serialize is dropped, never fatal mid-stream
-		}
-		write(append(b, '\n'))
-	}
-	// emit writes one result line and counts it as completed — the count and
-	// the write can never diverge because they are the same statement.
-	// Success lines splice the worker-marshaled result bytes in verbatim —
-	// json.Marshal produced them, so re-encoding the RawMessage would only
-	// re-compact already-compact bytes.
-	emit := func(line batchLine) {
-		if line.Status == http.StatusOK && len(line.Result) > 0 {
-			b := make([]byte, 0, len(line.Result)+48)
-			b = append(b, `{"index":`...)
-			b = strconv.AppendInt(b, int64(line.Index), 10)
-			b = append(b, `,"status":200,"result":`...)
-			b = append(b, line.Result...)
-			b = append(b, '}', '\n')
-			write(b)
-		} else {
-			writeLine(line)
-		}
-		completed++
-	}
-	// writeTrailer is the single exit of the stream: whatever combination of
-	// client disconnect, deadline expiry, drain, and worker completion races
-	// the loop below into finishing, exactly one trailer is written, and its
-	// truncation reason is chosen by fixed precedence — deadline beats
-	// client-gone beats draining — so the same race always reports the same
-	// reason.
-	trailerSent := false
-	writeTrailer := func() {
-		if trailerSent {
-			return
-		}
-		trailerSent = true
-		trailer := batchTrailer{Done: true, Items: len(items), Completed: completed,
-			Truncated: completed < len(items)}
-		if trailer.Truncated {
-			switch {
-			case errors.Is(ctx.Err(), context.DeadlineExceeded):
-				trailer.Reason = "deadline exceeded"
-			case ctx.Err() != nil:
-				trailer.Reason = "client gone"
-			case s.draining():
-				trailer.Reason = "draining"
-			default:
-				trailer.Reason = "interrupted"
-			}
-		}
-		writeLine(trailer)
-		flush()
-	}
-
 stream:
 	for {
 		select {
@@ -283,15 +189,9 @@ stream:
 			if !ok {
 				break stream
 			}
-			emit(line)
-			// Coalesced streaming: flush only when no further line is already
-			// waiting, so a fast worker does not force one syscall per line
-			// while a slow one still streams every result as it lands.
-			if len(lines) == 0 {
-				flush()
-			}
+			st.Line(line, len(lines) > 0)
 		case <-ctx.Done():
-			// Interrupted — client disconnect or deadline. Flush every line
+			// Interrupted — client disconnect or deadline. Write every line
 			// already computed (they sit in the buffered channel), then
 			// stop; the in-flight item, if any, is abandoned to the worker,
 			// which observes the dead context and returns.
@@ -301,7 +201,7 @@ stream:
 					if !ok {
 						break stream
 					}
-					emit(line)
+					st.Line(line, true)
 				default:
 					break stream
 				}
@@ -309,25 +209,26 @@ stream:
 		}
 	}
 
-	writeTrailer()
+	reason := ""
+	if st.Lines() < len(items) {
+		reason = ndjson.Reason(ctx, s.draining())
+	}
+	st.Finish(ndjson.Batch(len(items), st.Lines(), reason))
 	s.met.observeLatency(time.Since(start))
 	s.met.observeCompletion(time.Now())
 }
 
-// toBatchLine converts a unary-shaped reply into its NDJSON line.
-func toBatchLine(i int, rep reply) batchLine {
-	line := batchLine{Index: i, Status: rep.status}
+// batchLine encodes a unary-shaped reply as result line i: the schedule
+// under "result" on success, the reply's error message otherwise.
+func batchLine(i int, rep reply) []byte {
 	if rep.status == http.StatusOK {
-		line.Result = rep.body
-		return line
+		return ndjson.AppendResult(nil, i, rep.status, rep.body, "")
 	}
 	var e struct {
 		Error string `json:"error"`
 	}
-	if json.Unmarshal(rep.body, &e) == nil && e.Error != "" {
-		line.Error = e.Error
-	} else {
-		line.Error = http.StatusText(rep.status)
+	if json.Unmarshal(rep.body, &e) != nil || e.Error == "" {
+		e.Error = http.StatusText(rep.status)
 	}
-	return line
+	return ndjson.AppendResult(nil, i, rep.status, nil, e.Error)
 }

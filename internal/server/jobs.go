@@ -14,6 +14,7 @@ import (
 	"github.com/mia-rt/mia/internal/explore/objective"
 	"github.com/mia-rt/mia/internal/explore/pareto"
 	"github.com/mia-rt/mia/internal/model"
+	"github.com/mia-rt/mia/internal/ndjson"
 )
 
 // The jobs subsystem serves long-running multi-objective searches:
@@ -427,17 +428,6 @@ func (s *Server) handleJobCancel(w http.ResponseWriter, r *http.Request) {
 	s.writeReply(w, reply{status: http.StatusOK, body: j.statusBody(false)})
 }
 
-// jobTrailer is the stream's single terminal line, mirroring the batch
-// trailer's shape: done marks it, truncated says whether the search ran to
-// completion, and reason explains a truncation.
-type jobTrailer struct {
-	Done      bool      `json:"done"`
-	Status    jobStatus `json:"status"`
-	Updates   int       `json:"updates"`
-	Truncated bool      `json:"truncated"`
-	Reason    string    `json:"reason,omitempty"`
-}
-
 // handleJobStream serves GET /v1/jobs/{id}/stream: every front update the
 // job has produced so far, then live updates as they land, then exactly one
 // trailer once the job reaches a terminal state. A subscriber joining after
@@ -451,38 +441,21 @@ func (s *Server) handleJobStream(w http.ResponseWriter, r *http.Request) {
 		s.writeReply(w, reply{status: http.StatusNotFound, body: errBody("unknown job id")})
 		return
 	}
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
+	st := ndjson.Start(w, &s.met.streamedBytes)
 	s.met.countResponse(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
-	sent := 0
 	for {
 		j.mu.Lock()
-		lines := j.lines[sent:]
+		lines := j.lines[st.Lines():]
 		status := j.status
 		reason := j.reason
-		total := len(j.lines)
 		notify := j.notify
 		j.mu.Unlock()
-		for _, line := range lines {
-			w.Write(line)
-			s.met.streamedBytes.Add(int64(len(line)))
-		}
-		sent = total
-		if len(lines) > 0 && flusher != nil {
-			flusher.Flush()
+		for i, line := range lines {
+			st.Line(line, i < len(lines)-1)
 		}
 		if status != jobRunning {
-			t := jobTrailer{Done: true, Status: status, Updates: sent,
-				Truncated: status != jobDone, Reason: reason}
-			if b, err := json.Marshal(&t); err == nil {
-				b = append(b, '\n')
-				w.Write(b)
-				s.met.streamedBytes.Add(int64(len(b)))
-			}
-			if flusher != nil {
-				flusher.Flush()
-			}
+			st.Finish(ndjson.JobTrailer{Done: true, Status: string(status), Updates: st.Lines(),
+				Truncated: status != jobDone, Reason: reason})
 			return
 		}
 		select {

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"github.com/mia-rt/mia/internal/gen"
+	"github.com/mia-rt/mia/internal/ndjson"
 )
 
 // jobBody builds a POST /v1/jobs body around a graph JSON payload.
@@ -94,7 +95,7 @@ func TestJobLifecycleAndMetrics(t *testing.T) {
 		}
 		lastEvals = u.Evaluations
 	}
-	if trailer.Status != jobDone || trailer.Truncated || trailer.Updates != len(updates) {
+	if trailer.Status != string(jobDone) || trailer.Truncated || trailer.Updates != len(updates) {
 		t.Fatalf("trailer = %+v, want done/untruncated covering %d updates", trailer, len(updates))
 	}
 
@@ -103,10 +104,10 @@ func TestJobLifecycleAndMetrics(t *testing.T) {
 
 // parseJobStream splits an NDJSON job stream into its update lines and the
 // single trailer, failing on any malformed or post-trailer line.
-func parseJobStream(t *testing.T, stream []byte) ([]jobUpdateLine, jobTrailer) {
+func parseJobStream(t *testing.T, stream []byte) ([]jobUpdateLine, ndjson.JobTrailer) {
 	t.Helper()
 	var updates []jobUpdateLine
-	var trailer jobTrailer
+	var trailer ndjson.JobTrailer
 	seenTrailer := false
 	sc := bufio.NewScanner(bytes.NewReader(stream))
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
@@ -203,7 +204,7 @@ func TestJobCancellationStreamsTruncatedTrailer(t *testing.T) {
 		t.Fatalf("job cancel: got %d (body %s)", drr.Code, drr.Body.String())
 	}
 
-	var trailer jobTrailer
+	var trailer ndjson.JobTrailer
 	for {
 		line, err := reader.ReadBytes('\n')
 		if err != nil {
@@ -216,7 +217,7 @@ func TestJobCancellationStreamsTruncatedTrailer(t *testing.T) {
 			break
 		}
 	}
-	if trailer.Status != jobCancelled || !trailer.Truncated || trailer.Reason != "cancelled" {
+	if trailer.Status != string(jobCancelled) || !trailer.Truncated || trailer.Reason != "cancelled" {
 		t.Fatalf("trailer = %+v, want truncated/cancelled/reason=cancelled", trailer)
 	}
 

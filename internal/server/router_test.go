@@ -6,6 +6,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -358,7 +359,7 @@ func TestRouterJobsRoutedByIDPrefix(t *testing.T) {
 		t.Fatalf("routed job stream: got %d (body %s)", srr.Code, srr.Body.String())
 	}
 	updates, trailer := parseJobStream(t, srr.Body.Bytes())
-	if len(updates) == 0 || trailer.Status != jobDone || trailer.Truncated {
+	if len(updates) == 0 || trailer.Status != string(jobDone) || trailer.Truncated {
 		t.Fatalf("routed stream: %d updates, trailer %+v; want updates and a done trailer", len(updates), trailer)
 	}
 
@@ -389,4 +390,106 @@ func TestRouterJobsRoutedByIDPrefix(t *testing.T) {
 		st := decodeJob(t, rr.Body.Bytes()).Status
 		return st == jobCancelled || st == jobDone
 	})
+}
+
+// routedJobOnStoppedOwner creates a long-running job through the router and
+// returns it with its owning shard. stopOwner stops that shard's listener
+// and cuts its open connections, as a crashed shard process would.
+func routedJobOnStoppedOwner(t *testing.T, router *shard.Router, shards []*fleetShard, urls []string) (jobStatusResponse, func()) {
+	t.Helper()
+	rr := routedDo(router, http.MethodPost, "/v1/jobs", "application/json", longJobBody(t))
+	if rr.Code != http.StatusAccepted {
+		t.Fatalf("routed job create: got %d (body %s)", rr.Code, rr.Body.String())
+	}
+	job := decodeJob(t, rr.Body.Bytes())
+	owner := shardByURL(shards, shard.NewRing(urls, 0).Order(job.Hash)[0])
+	if _, ok := owner.srv.jobs.get(job.ID); !ok {
+		t.Fatalf("job %s is not on its ring primary", job.ID)
+	}
+	return job, func() {
+		owner.ts.Listener.Close()
+		owner.ts.CloseClientConnections()
+	}
+}
+
+// TestRouterJobOwnerUnreachable: once the shard holding a job is gone, the
+// other candidates answer 404, but the job did exist — every id-addressed
+// request must answer 502 "job owner unreachable", not the 404 of a job
+// that never existed.
+func TestRouterJobOwnerUnreachable(t *testing.T) {
+	shards, urls := newFleet(t, 3, Config{Workers: 1})
+	router := newFleetRouter(t, urls, shard.Config{Replicas: 2, Retries: 3})
+	job, stopOwner := routedJobOnStoppedOwner(t, router, shards, urls)
+	stopOwner()
+
+	for _, rq := range []struct{ method, path string }{
+		{http.MethodGet, "/v1/jobs/" + job.ID},
+		{http.MethodGet, "/v1/jobs/" + job.ID + "/stream"},
+		{http.MethodDelete, "/v1/jobs/" + job.ID},
+	} {
+		rr := routedDo(router, rq.method, rq.path, "", nil)
+		var body struct {
+			Error string `json:"error"`
+		}
+		if err := json.Unmarshal(rr.Body.Bytes(), &body); err != nil {
+			t.Fatalf("%s %s: body %q: %v", rq.method, rq.path, rr.Body.String(), err)
+		}
+		if rr.Code != http.StatusBadGateway || !strings.HasPrefix(body.Error, "job owner unreachable: ") {
+			t.Errorf("%s %s with the owner stopped: %d %s, want 502 job owner unreachable",
+				rq.method, rq.path, rr.Code, rr.Body.String())
+		}
+	}
+	// A job id no shard ever minted still gets the shards' 404 while the
+	// whole fleet answers.
+	_, liveURLs := newFleet(t, 2, Config{Workers: 1})
+	liveRouter := newFleetRouter(t, liveURLs, shard.Config{Replicas: 2, Retries: 2})
+	if rr := routedDo(liveRouter, http.MethodGet, "/v1/jobs/"+job.ID, "", nil); rr.Code != http.StatusNotFound {
+		t.Errorf("unknown job on a healthy fleet: %d %s, want 404", rr.Code, rr.Body.String())
+	}
+}
+
+// TestRouterJobStreamOwnerDiesMidStream: a relayed job stream whose owning
+// shard dies before the trailer still ends with exactly one trailer — the
+// router's "failed, truncated, shard failed" one, counting the update lines
+// it relayed.
+func TestRouterJobStreamOwnerDiesMidStream(t *testing.T) {
+	shards, urls := newFleet(t, 3, Config{Workers: 1})
+	router := newFleetRouter(t, urls, shard.Config{Replicas: 2, Retries: 3})
+	routerTS := httptest.NewServer(router.Handler())
+	t.Cleanup(routerTS.Close)
+	client := routerTS.Client()
+	t.Cleanup(client.CloseIdleConnections)
+	job, stopOwner := routedJobOnStoppedOwner(t, router, shards, urls)
+
+	resp, err := client.Get(routerTS.URL + "/v1/jobs/" + job.ID + "/stream")
+	if err != nil {
+		t.Fatalf("opening routed stream: %v", err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("routed stream status %d", resp.StatusCode)
+	}
+	reader := bufio.NewReader(resp.Body)
+	first, err := reader.ReadBytes('\n')
+	if err != nil {
+		t.Fatalf("reading first update: %v", err)
+	}
+	stopOwner()
+
+	lines := [][]byte{first}
+	for {
+		line, err := reader.ReadBytes('\n')
+		if err == io.EOF && len(line) == 0 {
+			break
+		}
+		if err != nil {
+			t.Fatalf("routed stream died without a trailer: %v (partial %q)", err, line)
+		}
+		lines = append(lines, line)
+	}
+	updates, trailer := parseJobStream(t, bytes.Join(lines, nil))
+	want := fmt.Sprintf(`{"done":true,"status":"failed","updates":%d,"truncated":true,"reason":"shard failed"}`+"\n", len(updates))
+	if got := string(lines[len(lines)-1]); got != want || trailer.Updates != len(lines)-1 {
+		t.Fatalf("trailer %s, want %s", got, want)
+	}
 }

@@ -47,6 +47,7 @@ import (
 
 	"github.com/mia-rt/mia/internal/engine"
 	"github.com/mia-rt/mia/internal/model"
+	"github.com/mia-rt/mia/internal/ndjson"
 	"github.com/mia-rt/mia/internal/pool"
 	"github.com/mia-rt/mia/internal/sched"
 	_ "github.com/mia-rt/mia/internal/sched/incremental" // registers the "incremental" engine backend
@@ -195,7 +196,7 @@ func (s *Server) BeginDrain() {
 	case <-s.drainCh:
 	default:
 		close(s.drainCh)
-		s.jobs.cancelAll("draining")
+		s.jobs.cancelAll(ndjson.ReasonDraining)
 	}
 }
 

@@ -9,12 +9,13 @@ import (
 	"io"
 	"math/rand"
 	"net/http"
-	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"github.com/mia-rt/mia/internal/model"
+	"github.com/mia-rt/mia/internal/ndjson"
 	"github.com/mia-rt/mia/internal/wire"
 )
 
@@ -49,7 +50,8 @@ import (
 // the one placement-dependent verdict — bounded-load reordering can put a
 // shard outside the fingerprint's replica set first, and that shard
 // legitimately lacks the image — so a 404 continues the ring walk and is
-// replayed to the client only when every candidate returned it.
+// replayed to the client only when every candidate returned it. Every
+// handler walks its candidates through one function, Router.next.
 type Router struct {
 	cfg    Config
 	ring   *Ring
@@ -289,14 +291,6 @@ func (r *Router) markDown(url string) {
 	}
 }
 
-// transientStatus reports whether a shard response status is worth retrying
-// on another replica: only 502/503 — a dying or draining shard. 429 is
-// admission control doing its job (the client owns the retry, guided by
-// Retry-After), and 4xx/422 are verdicts about the request itself.
-func transientStatus(status int) bool {
-	return status == http.StatusBadGateway || status == http.StatusServiceUnavailable
-}
-
 // errJSON writes the shard protocol's uniform error body.
 func errJSON(w http.ResponseWriter, status int, msg string) {
 	w.Header().Set("Content-Type", "application/json")
@@ -366,7 +360,7 @@ func isWireBody(r *http.Request) bool {
 // body read — it is the admission-pressure signal for bounded-load
 // placement, and a long batch stream is backpressure the shard already
 // accounts for in its own queue.
-func (r *Router) forward(ctx context.Context, client *http.Client, url, path, query, contentType string, body []byte) (*http.Response, error) {
+func (r *Router) forward(ctx context.Context, client *http.Client, method, url, path, query, contentType string, body []byte) (*http.Response, error) {
 	t := r.targets[url]
 	t.inflight.Add(1)
 	defer t.inflight.Add(-1)
@@ -374,19 +368,98 @@ func (r *Router) forward(ctx context.Context, client *http.Client, url, path, qu
 	if query != "" {
 		full += "?" + query
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, full, bytes.NewReader(body))
+	req, err := http.NewRequestWithContext(ctx, method, full, bytes.NewReader(body))
 	if err != nil {
 		return nil, err
 	}
-	req.Header.Set("Content-Type", contentType)
+	if contentType != "" {
+		req.Header.Set("Content-Type", contentType)
+	}
 	r.met.forwarded.Add(1)
 	return client.Do(req)
 }
 
-// handleUnary serves analyze and reschedule: pick the replica order for the
-// body's fingerprint, try each with jittered backoff between attempts, copy
-// the first non-transient response through, and replicate successful
-// analyze bodies to the next replica.
+// walk is one request's pass over its placement key's replica candidates.
+// Router.next advances it; the failure fields keep why candidates were
+// passed over, for the answer when none of them serves the request.
+type walk struct {
+	ctx      context.Context
+	cands    []string
+	pos      int
+	lastErr  error          // the latest reason a candidate was passed over
+	downErr  error          // the latest transport error, 502 or 503
+	notFound *http.Response // the latest 404, its body buffered
+}
+
+func (r *Router) newWalk(ctx context.Context, fp string) *walk {
+	return &walk{ctx: ctx, cands: r.candidates(fp)}
+}
+
+// next is the router's one candidate walk. It sends the request to the
+// walk's following candidates, with a jittered backoff before every attempt
+// but the first, until one answers with a verdict the caller must handle,
+// and returns that response (the caller owns its body) and the shard's URL.
+// Candidates are passed over on a transport error, which also marks the
+// shard down unless the client went away; on 502/503, a dying or draining
+// shard; and on 404, which is placement-dependent (see Router). Every other
+// status is the caller's: 429 is admission control doing its job (the
+// client owns the retry, guided by Retry-After), and 400/422 are verdicts
+// about the request itself. next returns nil once the candidates are
+// exhausted or the request's context is done.
+func (r *Router) next(wk *walk, send func(url string) (*http.Response, error)) (*http.Response, string) {
+	for wk.pos < len(wk.cands) {
+		url := wk.cands[wk.pos]
+		wk.pos++
+		if wk.pos > 1 {
+			r.met.retries.Add(1)
+			r.backoff(wk.ctx)
+			if wk.ctx.Err() != nil {
+				return nil, ""
+			}
+		}
+		resp, err := send(url)
+		switch {
+		case err != nil:
+			if wk.ctx.Err() == nil {
+				r.markDown(url)
+			}
+			wk.lastErr, wk.downErr = err, err
+		case resp.StatusCode == http.StatusBadGateway || resp.StatusCode == http.StatusServiceUnavailable:
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+			wk.lastErr = fmt.Errorf("shard %s answered %d", url, resp.StatusCode)
+			wk.downErr = wk.lastErr
+		case resp.StatusCode == http.StatusNotFound:
+			body, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<16))
+			resp.Body.Close()
+			resp.Body = io.NopCloser(bytes.NewReader(body))
+			wk.notFound = resp
+			wk.lastErr = fmt.Errorf("shard %s answered 404", url)
+		default:
+			return resp, url
+		}
+	}
+	return nil, ""
+}
+
+// fail answers a request no candidate served: the shards' 404 when one was
+// seen (no candidate knows the graph), else 502.
+func (r *Router) fail(w http.ResponseWriter, wk *walk) {
+	if wk.notFound != nil {
+		copyResponse(w, wk.notFound)
+		return
+	}
+	r.met.noShard.Add(1)
+	msg := "no shard available"
+	if wk.lastErr != nil {
+		msg += ": " + wk.lastErr.Error()
+	}
+	errJSON(w, http.StatusBadGateway, msg)
+}
+
+// handleUnary serves analyze, reschedule and job creation: walk the
+// replica order for the body's fingerprint, copy the first answer through,
+// and replicate successful analyze bodies to the rest of the replica set.
 func (r *Router) handleUnary(w http.ResponseWriter, req *http.Request) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, req.Body, r.cfg.MaxRequestBytes))
 	if err != nil {
@@ -398,64 +471,22 @@ func (r *Router) handleUnary(w http.ResponseWriter, req *http.Request) {
 	if contentType == "" {
 		contentType = "application/json"
 	}
-	fp := r.routeFingerprint(req, path, body)
-	cands := r.candidates(fp)
-
-	var lastErr error
-	var notFound *savedVerdict
-	for i, url := range cands {
-		if i > 0 {
-			r.met.retries.Add(1)
-			r.backoff(req.Context())
-			if req.Context().Err() != nil {
-				break
-			}
-		}
-		resp, err := r.forward(req.Context(), r.client, url, path, req.URL.RawQuery, contentType, body)
-		if err != nil {
-			if req.Context().Err() == nil {
-				r.markDown(url) // shard failure, not our client going away
-			}
-			lastErr = err
-			continue
-		}
-		if transientStatus(resp.StatusCode) {
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-			lastErr = fmt.Errorf("shard %s answered %d", url, resp.StatusCode)
-			continue
-		}
-		if resp.StatusCode == http.StatusNotFound {
-			// A 404 is a per-shard verdict, not a fleet one: bounded-load
-			// reordering can put a shard outside the fingerprint's replica
-			// set first, and that shard legitimately never got the image.
-			// Keep walking the ring; replay the verdict only when no
-			// candidate knows the graph.
-			notFound = saveVerdict(resp)
-			resp.Body.Close()
-			lastErr = fmt.Errorf("shard %s answered 404", url)
-			continue
-		}
-		if resp.StatusCode == http.StatusTooManyRequests {
-			r.met.shed.Add(1)
-		}
-		copyResponse(w, resp)
-		resp.Body.Close()
-		if path == "/v1/analyze" && resp.StatusCode == http.StatusOK {
-			r.replicate(req.Context(), cands, url, contentType, body)
-		}
+	wk := r.newWalk(req.Context(), r.routeFingerprint(req, path, body))
+	resp, url := r.next(wk, func(url string) (*http.Response, error) {
+		return r.forward(req.Context(), r.client, http.MethodPost, url, path, req.URL.RawQuery, contentType, body)
+	})
+	if resp == nil {
+		r.fail(w, wk)
 		return
 	}
-	if notFound != nil {
-		notFound.replay(w)
-		return
+	if resp.StatusCode == http.StatusTooManyRequests {
+		r.met.shed.Add(1)
 	}
-	r.met.noShard.Add(1)
-	msg := "no shard available"
-	if lastErr != nil {
-		msg += ": " + lastErr.Error()
+	copyResponse(w, resp)
+	resp.Body.Close()
+	if path == "/v1/analyze" && resp.StatusCode == http.StatusOK {
+		r.replicate(req.Context(), wk.cands, url, contentType, body)
 	}
-	errJSON(w, http.StatusBadGateway, msg)
 }
 
 // jobFingerprint extracts the placement key from a job id. Job ids are
@@ -463,7 +494,7 @@ func (r *Router) handleUnary(w http.ResponseWriter, req *http.Request) {
 // every request about a job hashes to the shard that owns the graph's
 // traffic); an id without the separator routes by its raw bytes.
 func jobFingerprint(id string) string {
-	if i := bytes.LastIndexByte([]byte(id), '-'); i > 0 {
+	if i := strings.LastIndexByte(id, '-'); i > 0 {
 		return id[:i]
 	}
 	return id
@@ -472,131 +503,59 @@ func jobFingerprint(id string) string {
 // handleJobByID routes job status, stream, and cancel requests by the job
 // id's fingerprint prefix. Jobs are shard-resident state (unlike stateless
 // batch items there is nothing to fail over — a successor never ran the
-// search), so a 404 continues the ring walk exactly like handleUnary's: a
-// bounded-load detour can put the owning shard later in the order. Streams
-// relay verbatim with per-chunk flushes; if the owning shard dies
-// mid-stream the stream simply ends — the client re-GETs the job and sees
-// the 404 or the final state.
+// search), so a 404 continues the ring walk: a bounded-load detour can put
+// the owning shard later in the order. A job lost with its shard does not
+// read as one that never existed: when some candidate was unreachable and
+// the rest answered 404, the answer is 502 "job owner unreachable", and a
+// relayed stream whose shard dies before its trailer ends with a failed,
+// truncated "shard failed" trailer.
 func (r *Router) handleJobByID(w http.ResponseWriter, req *http.Request) {
 	id := req.PathValue("id")
 	path := "/v1/jobs/" + id
-	stream := false
-	if bytes.HasSuffix([]byte(req.URL.Path), []byte("/stream")) {
+	client := r.client
+	stream := strings.HasSuffix(req.URL.Path, "/stream")
+	if stream {
 		path += "/stream"
-		stream = true
+		client = r.batchClient // streams run as long as the job does
 	}
-	cands := r.candidates(jobFingerprint(id))
-
-	var lastErr error
-	var notFound *savedVerdict
-	for i, url := range cands {
-		if i > 0 {
-			r.met.retries.Add(1)
-			r.backoff(req.Context())
-			if req.Context().Err() != nil {
-				break
-			}
-		}
-		client := r.client
-		if stream {
-			client = r.batchClient // streams run as long as the job does
-		}
-		t := r.targets[url]
-		t.inflight.Add(1)
-		hreq, err := http.NewRequestWithContext(req.Context(), req.Method, url+path, nil)
-		if err != nil {
-			t.inflight.Add(-1)
-			lastErr = err
-			continue
-		}
-		r.met.forwarded.Add(1)
-		resp, err := client.Do(hreq)
-		t.inflight.Add(-1)
-		if err != nil {
-			if req.Context().Err() == nil {
-				r.markDown(url)
-			}
-			lastErr = err
-			continue
-		}
-		if transientStatus(resp.StatusCode) {
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-			lastErr = fmt.Errorf("shard %s answered %d", url, resp.StatusCode)
-			continue
-		}
-		if resp.StatusCode == http.StatusNotFound {
-			notFound = saveVerdict(resp)
-			resp.Body.Close()
-			lastErr = fmt.Errorf("shard %s answered 404", url)
-			continue
-		}
-		if stream && resp.StatusCode == http.StatusOK {
-			relayStream(w, resp.Body)
-			resp.Body.Close()
+	wk := r.newWalk(req.Context(), jobFingerprint(id))
+	resp, _ := r.next(wk, func(url string) (*http.Response, error) {
+		return r.forward(req.Context(), client, req.Method, url, path, "", "", nil)
+	})
+	if resp == nil {
+		if wk.notFound != nil && wk.downErr != nil {
+			r.met.noShard.Add(1)
+			errJSON(w, http.StatusBadGateway, "job owner unreachable: "+wk.downErr.Error())
 			return
 		}
-		copyResponse(w, resp)
-		resp.Body.Close()
+		r.fail(w, wk)
 		return
 	}
-	if notFound != nil {
-		notFound.replay(w)
+	defer resp.Body.Close()
+	if stream && resp.StatusCode == http.StatusOK {
+		relayJobStream(w, resp.Body)
 		return
 	}
-	r.met.noShard.Add(1)
-	msg := "no shard available"
-	if lastErr != nil {
-		msg += ": " + lastErr.Error()
-	}
-	errJSON(w, http.StatusBadGateway, msg)
+	copyResponse(w, resp)
 }
 
-// relayStream copies an NDJSON stream through with a flush per read, so
-// front updates reach the client as the shard emits them instead of
-// pooling in a proxy buffer.
-func relayStream(w http.ResponseWriter, body io.Reader) {
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
-	buf := make([]byte, 32*1024)
+// relayJobStream relays a job's NDJSON stream line by line. A stream that
+// ends before the shard's trailer gets the router's own (ndjson.JobLost).
+func relayJobStream(w http.ResponseWriter, body io.Reader) {
+	st := ndjson.Start(w, nil)
+	rd := ndjson.NewReader(body)
 	for {
-		n, err := body.Read(buf)
-		if n > 0 {
-			w.Write(buf[:n])
-			if flusher != nil {
-				flusher.Flush()
-			}
-		}
+		line, more, err := rd.Next()
 		if err != nil {
+			st.Finish(ndjson.JobLost(st.Lines()))
 			return
 		}
+		if ndjson.IsTrailer(line) {
+			st.FinishRaw(line)
+			return
+		}
+		st.Line(line, more)
 	}
-}
-
-// savedVerdict is a buffered non-200 shard response held while the ring
-// walk continues, replayed verbatim if every candidate agrees.
-type savedVerdict struct {
-	status      int
-	contentType string
-	body        []byte
-}
-
-func saveVerdict(resp *http.Response) *savedVerdict {
-	body, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<16))
-	return &savedVerdict{
-		status:      resp.StatusCode,
-		contentType: resp.Header.Get("Content-Type"),
-		body:        body,
-	}
-}
-
-func (v *savedVerdict) replay(w http.ResponseWriter) {
-	if v.contentType != "" {
-		w.Header().Set("Content-Type", v.contentType)
-	}
-	w.WriteHeader(v.status)
-	w.Write(v.body)
 }
 
 // replicate pins an analyzed graph on the rest of its replica set: the
@@ -615,7 +574,7 @@ func (r *Router) replicate(ctx context.Context, cands []string, served, contentT
 		if url == served {
 			continue
 		}
-		resp, err := r.forward(ctx, r.client, url, "/v1/analyze", "", contentType, body)
+		resp, err := r.forward(ctx, r.client, http.MethodPost, url, "/v1/analyze", "", contentType, body)
 		if err != nil {
 			r.markDown(url)
 			continue
@@ -735,38 +694,18 @@ func (r *Router) parseBatchBody(req *http.Request, body []byte) (*parsedBatch, e
 			return nil, fmt.Errorf("parsing batch items after wire blob: %w", err)
 		}
 		pb.items = rest.Items
-		if fp := req.Header.Get(wire.RouteHeader); fp != "" {
-			pb.fp = fp
-		} else if fp, err := wire.BlobFingerprint(pb.wireBlob); err == nil {
-			pb.fp = fp
-		} else {
-			pb.fp = string(body)
+	} else {
+		var jreq struct {
+			Hash  string            `json:"hash"`
+			Graph json.RawMessage   `json:"graph"`
+			Items []json.RawMessage `json:"items"`
 		}
-		return pb, nil
-	}
-	var jreq struct {
-		Hash  string            `json:"hash"`
-		Graph json.RawMessage   `json:"graph"`
-		Items []json.RawMessage `json:"items"`
-	}
-	if err := json.Unmarshal(body, &jreq); err != nil {
-		return nil, fmt.Errorf("parsing batch request: %w", err)
-	}
-	pb.hash, pb.graphJSON, pb.items = jreq.Hash, jreq.Graph, jreq.Items
-	switch {
-	case pb.fp == "" && req.Header.Get(wire.RouteHeader) != "":
-		pb.fp = req.Header.Get(wire.RouteHeader)
-	case pb.hash != "":
-		pb.fp = pb.hash
-	case len(pb.graphJSON) > 0:
-		if g, err := model.ReadJSON(bytes.NewReader(pb.graphJSON)); err == nil {
-			pb.fp = g.Fingerprint()
-		} else {
-			pb.fp = string(body)
+		if err := json.Unmarshal(body, &jreq); err != nil {
+			return nil, fmt.Errorf("parsing batch request: %w", err)
 		}
-	default:
-		pb.fp = string(body)
+		pb.hash, pb.graphJSON, pb.items = jreq.Hash, jreq.Graph, jreq.Items
 	}
+	pb.fp = r.routeFingerprint(req, "/v1/batch", body)
 	return pb, nil
 }
 
@@ -813,7 +752,7 @@ func (pb *parsedBatch) subBody(indices []int) (string, []byte) {
 // wrote them (byte parity with a direct batch). When the stream dies
 // mid-batch the router fails over: the un-streamed items are re-admitted to
 // the next replica as a sub-batch, returned line indices are rewritten to
-// the original item indices, and the router synthesizes the single final
+// the original item indices, and the router writes the single final
 // trailer itself.
 func (r *Router) handleBatch(w http.ResponseWriter, req *http.Request) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, req.Body, r.cfg.MaxRequestBytes))
@@ -826,60 +765,29 @@ func (r *Router) handleBatch(w http.ResponseWriter, req *http.Request) {
 		errJSON(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	cands := r.candidates(pb.fp)
-
-	st := &batchStream{w: w, r: r, total: len(pb.items), streamed: make([]bool, len(pb.items))}
+	wk := r.newWalk(req.Context(), pb.fp)
+	streamed := make([]bool, len(pb.items))
 	remaining := make([]int, len(pb.items))
 	for i := range remaining {
 		remaining[i] = i
 	}
 
-	var lastErr error
-	var notFound *savedVerdict
-	for attempt, url := range cands {
-		if len(remaining) == 0 && st.headerSent {
-			break
-		}
-		if attempt > 0 {
-			if st.headerSent {
+	var st *ndjson.Stream // nil until a shard answers 200
+	for st == nil || len(remaining) > 0 {
+		contentType, subBody := pb.subBody(remaining)
+		resp, url := r.next(wk, func(url string) (*http.Response, error) {
+			if st != nil {
 				r.met.batchFailovers.Add(1)
 			}
-			r.met.retries.Add(1)
-			r.backoff(req.Context())
-			if req.Context().Err() != nil {
-				break
-			}
-		}
-		contentType, subBody := pb.subBody(remaining)
-		resp, err := r.forward(req.Context(), r.batchClient, url, "/v1/batch", req.URL.RawQuery, contentType, subBody)
-		if err != nil {
-			if req.Context().Err() == nil {
-				r.markDown(url)
-			}
-			lastErr = err
-			continue
-		}
-		if transientStatus(resp.StatusCode) {
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-			lastErr = fmt.Errorf("shard %s answered %d", url, resp.StatusCode)
-			continue
+			return r.forward(req.Context(), r.batchClient, http.MethodPost, url, "/v1/batch", req.URL.RawQuery, contentType, subBody)
+		})
+		if resp == nil {
+			break
 		}
 		if resp.StatusCode != http.StatusOK {
-			// Pre-stream verdict (bad request, unknown hash, 429 shed). On
-			// the first attempt it passes through verbatim — except a 404,
-			// which is placement-dependent (a bounded-load-reordered shard
-			// outside the replica set never got the image) and continues
-			// the walk like handleUnary. Mid-failover the client already
-			// holds streamed lines, so the only legal ending is a truncated
-			// trailer.
-			if !st.headerSent {
-				if resp.StatusCode == http.StatusNotFound {
-					notFound = saveVerdict(resp)
-					resp.Body.Close()
-					lastErr = fmt.Errorf("shard %s answered 404", url)
-					continue
-				}
+			if st == nil {
+				// Pre-stream verdict (bad request, 429 shed): passes through
+				// verbatim.
 				if resp.StatusCode == http.StatusTooManyRequests {
 					r.met.shed.Add(1)
 				}
@@ -887,204 +795,95 @@ func (r *Router) handleBatch(w http.ResponseWriter, req *http.Request) {
 				resp.Body.Close()
 				return
 			}
+			// Mid-failover the client already holds streamed lines, so the
+			// only legal ending is a trailer: try the next replica.
 			io.Copy(io.Discard, resp.Body)
 			resp.Body.Close()
-			lastErr = fmt.Errorf("failover shard %s answered %d", url, resp.StatusCode)
 			continue
 		}
-		done, err := st.relay(resp.Body, remaining)
+		if st == nil {
+			st = ndjson.Start(w, nil)
+		}
+		err := r.relayBatch(st, resp.Body, remaining, streamed)
 		resp.Body.Close()
-		if done {
-			return // trailer delivered (relayed verbatim or synthesized complete)
+		if err == nil {
+			return
 		}
-		if err != nil {
-			if req.Context().Err() == nil {
-				r.markDown(url) // the shard died or drained under the stream
-			}
-			lastErr = err
-		}
-		remaining = st.notStreamed()
 		if req.Context().Err() != nil {
 			break // client gone or deadline: stop failing over, end the stream
 		}
+		r.markDown(url) // the shard died, drained or misbehaved under the stream
+		remaining = remaining[:0]
+		for i, s := range streamed {
+			if !s {
+				remaining = append(remaining, i)
+			}
+		}
 	}
 
-	if !st.headerSent && notFound != nil {
-		notFound.replay(w)
+	if st == nil {
+		r.fail(w, wk)
 		return
 	}
 	r.met.noShard.Add(1)
-	if !st.headerSent {
-		msg := "no shard available"
-		if lastErr != nil {
-			msg += ": " + lastErr.Error()
-		}
-		errJSON(w, http.StatusBadGateway, msg)
-		return
-	}
-	st.writeTrailer(true, "shard failed")
+	st.Finish(ndjson.Batch(len(pb.items), st.Lines(), ndjson.ReasonShardFailed))
 }
 
-// batchStream tracks one client-facing batch response across shard
-// attempts: which original items have had their line streamed, whether the
-// 200 header is out, and the single-trailer guarantee.
-type batchStream struct {
-	w           http.ResponseWriter
-	r           *Router
-	total       int
-	streamed    []bool
-	completed   int
-	headerSent  bool
-	trailerSent bool
-}
-
-// notStreamed returns the original indices still owed to the client.
-func (st *batchStream) notStreamed() []int {
-	var out []int
-	for i, s := range st.streamed {
-		if !s {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
-// relay copies one shard's NDJSON stream to the client, rewriting line
-// indices through the sub-batch mapping. It returns done=true once the
-// client-facing response is complete (trailer written). A shard trailer
-// only finishes the batch when this attempt covered every remaining item
-// and nothing was truncated; a truncated shard trailer (that shard began
-// draining mid-batch) is swallowed and the un-streamed items fail over.
-func (st *batchStream) relay(stream io.Reader, mapping []int) (bool, error) {
-	flusher, _ := st.w.(http.Flusher)
-	if !st.headerSent {
-		st.headerSent = true
-		st.w.Header().Set("Content-Type", "application/x-ndjson")
-		st.w.WriteHeader(http.StatusOK)
-	}
-	verbatim := len(mapping) == st.total // first attempt: indices line up, relay untouched
-	dec := json.NewDecoder(stream)
+// relayBatch copies one shard's batch stream to the client. mapping[k] is
+// the original index of the sub-batch's item k, and streamed marks the
+// original items whose line the client already has. It returns nil once
+// the client-facing stream is finished. A shard trailer finishes it only
+// when every item has been streamed and the shard did not truncate; a
+// truncated shard trailer (that shard began draining mid-batch), a stream
+// that ends early, and a line that is neither a result nor a trailer are
+// shard failures, returned so the remaining items fail over.
+func (r *Router) relayBatch(st *ndjson.Stream, body io.Reader, mapping []int, streamed []bool) error {
+	verbatim := len(mapping) == len(streamed) // first attempt: indices line up, relay untouched
+	rd := ndjson.NewReader(body)
 	for {
-		var raw json.RawMessage
-		if err := dec.Decode(&raw); err != nil {
-			if err == io.EOF {
-				return false, errors.New("shard stream ended without a trailer")
-			}
-			return false, err
+		line, more, err := rd.Next()
+		if err == io.EOF {
+			return errors.New("shard stream ended without a trailer")
 		}
-		var probe struct {
-			Done      *bool `json:"done"`
-			Index     *int  `json:"index"`
-			Truncated bool  `json:"truncated"`
-			Completed int   `json:"completed"`
+		if err != nil {
+			return err
 		}
-		if err := json.Unmarshal(raw, &probe); err != nil {
-			return false, err
+		if !json.Valid(line) {
+			return errors.New("shard line is not JSON")
 		}
-		switch {
-		case probe.Done != nil && *probe.Done:
-			if !probe.Truncated && st.completed == st.total && verbatim {
-				// Whole batch served by one shard: its trailer is the
-				// client's trailer, byte for byte.
-				st.writeRaw(append(raw, '\n'), flusher)
-				st.trailerSent = true
-				return true, nil
+		if ndjson.IsTrailer(line) {
+			var t ndjson.BatchTrailer
+			if err := json.Unmarshal(line, &t); err != nil {
+				return err
 			}
-			if !probe.Truncated && st.completed == st.total {
-				st.writeTrailer(false, "")
-				return true, nil
+			if t.Truncated || st.Lines() < len(streamed) {
+				return fmt.Errorf("shard truncated sub-batch after %d lines", t.Completed)
 			}
-			// Truncated sub-batch (the shard drained or timed out under
-			// us): not an error on the wire, but the batch is unfinished —
-			// fail the remainder over.
-			return false, fmt.Errorf("shard truncated sub-batch after %d lines", probe.Completed)
-		case probe.Index != nil:
-			sub := *probe.Index
-			if sub < 0 || sub >= len(mapping) {
-				return false, fmt.Errorf("shard returned out-of-range line index %d", sub)
-			}
-			orig := mapping[sub]
-			if st.streamed[orig] {
-				// Never forward a duplicate: the no-dup guarantee outranks
-				// a misbehaving shard.
-				continue
-			}
-			st.streamed[orig] = true
-			st.completed++
-			st.r.met.linesStreamed.Add(1)
 			if verbatim {
-				st.writeRaw(append(raw, '\n'), flusher)
+				st.FinishRaw(line) // whole batch served by one shard: its trailer, byte for byte
 			} else {
-				st.writeRaw(append(rewriteIndex(raw, orig), '\n'), flusher)
+				st.Finish(ndjson.Batch(len(streamed), st.Lines(), ""))
 			}
-		default:
-			return false, errors.New("shard line is neither a result nor a trailer")
+			return nil
 		}
-	}
-}
-
-// writeRaw writes one NDJSON line and flushes it (failover batches are
-// long-lived streams; latency beats syscall coalescing here).
-func (st *batchStream) writeRaw(line []byte, flusher http.Flusher) {
-	st.w.Write(line)
-	if flusher != nil {
-		flusher.Flush()
-	}
-}
-
-// writeTrailer synthesizes the single client-facing trailer. Exactly one
-// trailer per batch response is a protocol guarantee, so the sent flag is
-// checked even on the failure paths.
-func (st *batchStream) writeTrailer(truncated bool, reason string) {
-	if st.trailerSent {
-		return
-	}
-	st.trailerSent = true
-	t := struct {
-		Done      bool   `json:"done"`
-		Items     int    `json:"items"`
-		Completed int    `json:"completed"`
-		Truncated bool   `json:"truncated"`
-		Reason    string `json:"reason,omitempty"`
-	}{Done: true, Items: st.total, Completed: st.completed, Truncated: truncated || st.completed < st.total}
-	if t.Truncated {
-		t.Reason = reason
-		if t.Reason == "" {
-			t.Reason = "interrupted"
+		sub, _, ok := ndjson.ResultIndex(line)
+		if !ok {
+			return errors.New("shard line is neither a result nor a trailer")
 		}
-	}
-	b, _ := json.Marshal(&t)
-	flusher, _ := st.w.(http.Flusher)
-	st.writeRaw(append(b, '\n'), flusher)
-}
-
-// rewriteIndex maps a result line's "index" field from sub-batch to
-// original numbering by splicing the digits: every shard result line
-// starts with the fixed prefix {"index":N, (the shard marshals the struct
-// field order), so the rewrite is a prefix swap, not a re-marshal — the
-// rest of the line, result bytes included, passes through untouched.
-func rewriteIndex(line json.RawMessage, orig int) []byte {
-	const prefix = `{"index":`
-	if len(line) > len(prefix) && string(line[:len(prefix)]) == prefix {
-		i := len(prefix)
-		for i < len(line) && line[i] >= '0' && line[i] <= '9' {
-			i++
+		if sub >= len(mapping) {
+			return fmt.Errorf("shard returned out-of-range line index %d", sub)
 		}
-		if i > len(prefix) {
-			out := make([]byte, 0, len(line)+4)
-			out = append(out, prefix...)
-			out = strconv.AppendInt(out, int64(orig), 10)
-			out = append(out, line[i:]...)
-			return out
+		orig := mapping[sub]
+		if streamed[orig] {
+			// Never forward a duplicate: the no-dup guarantee outranks a
+			// misbehaving shard.
+			continue
 		}
-	}
-	// Unexpected shape: fall back to a decode/re-encode of just the index.
-	var m map[string]json.RawMessage
-	if err := json.Unmarshal(line, &m); err == nil {
-		m["index"] = json.RawMessage(strconv.Itoa(orig))
-		if b, err := json.Marshal(m); err == nil {
-			return b
+		if !verbatim {
+			line, _ = ndjson.RewriteIndex(line, orig)
 		}
+		streamed[orig] = true
+		r.met.linesStreamed.Add(1)
+		st.Line(line, more)
 	}
-	return line
 }

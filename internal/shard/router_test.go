@@ -21,10 +21,13 @@ import (
 type fakeShard struct {
 	name     string
 	dieAfter int32 // kill the connection after this many lines (<0: never)
-	batches  atomic.Int32
-	analyzes atomic.Int32
-	healthy  atomic.Bool
-	ts       *httptest.Server
+	// indexLast writes result lines with "index" after "status", a shape
+	// the router must refuse to splice.
+	indexLast bool
+	batches   atomic.Int32
+	analyzes  atomic.Int32
+	healthy   atomic.Bool
+	ts        *httptest.Server
 }
 
 type fakeItem struct {
@@ -74,7 +77,11 @@ func newFakeShard(t *testing.T, name string, dieAfter int32) *fakeShard {
 				// response.
 				panic(http.ErrAbortHandler)
 			}
-			fmt.Fprintf(w, `{"index":%d,"status":200,"result":{"tag":%q,"by":%q}}`+"\n", i, it.Tag, f.name)
+			if f.indexLast {
+				fmt.Fprintf(w, `{"status":200,"index":%d,"result":{"tag":%q,"by":%q}}`+"\n", i, it.Tag, f.name)
+			} else {
+				fmt.Fprintf(w, `{"index":%d,"status":200,"result":{"tag":%q,"by":%q}}`+"\n", i, it.Tag, f.name)
+			}
 			flusher.Flush()
 		}
 		fmt.Fprintf(w, `{"done":true,"items":%d,"completed":%d,"truncated":false}`+"\n", len(req.Items), len(req.Items))
@@ -408,16 +415,38 @@ func TestRouterHealthEndpoints(t *testing.T) {
 	}
 }
 
-// TestRewriteIndex pins the splice: only the index digits change, every
-// other byte passes through.
-func TestRewriteIndex(t *testing.T) {
-	cases := []struct{ in, want string }{
-		{`{"index":0,"status":200,"result":{"x":1}}`, `{"index":42,"status":200,"result":{"x":1}}`},
-		{`{"index":17,"status":400,"error":"bad"}`, `{"index":42,"status":400,"error":"bad"}`},
+// TestRouterBatchUnsplicableLineFailsOver: a result line that does not start
+// with the {"index":N, prefix cannot be spliced, so the router treats it as a
+// shard failure and fails the batch over, exactly like a dead shard.
+func TestRouterBatchUnsplicableLineFailsOver(t *testing.T) {
+	shards := []*fakeShard{newFakeShard(t, "a", -1), newFakeShard(t, "b", -1)}
+	urls := []string{shards[0].ts.URL, shards[1].ts.URL}
+	r := newTestRouter(t, Config{Targets: urls, Replicas: 2, Retries: 2})
+
+	const hash, n = "c0ffee", 4
+	order := r.ring.Order(hash)
+	shardFor(shards, order[0]).indexLast = true
+	successor := shardFor(shards, order[1])
+
+	rr := httptest.NewRecorder()
+	r.Handler().ServeHTTP(rr, httptest.NewRequest(http.MethodPost, "/v1/batch", strings.NewReader(batchBody(hash, n))))
+	if rr.Code != http.StatusOK {
+		t.Fatalf("batch: %d (%s)", rr.Code, rr.Body.String())
 	}
-	for _, tc := range cases {
-		if got := string(rewriteIndex([]byte(tc.in), 42)); got != tc.want {
-			t.Errorf("rewriteIndex(%s) = %s, want %s", tc.in, got, tc.want)
+	lines := strings.Split(strings.TrimRight(rr.Body.String(), "\n"), "\n")
+	if len(lines) != n+1 {
+		t.Fatalf("%d lines, want %d results + 1 trailer:\n%s", len(lines), n, rr.Body.String())
+	}
+	for i, l := range lines[:n] {
+		want := fmt.Sprintf(`{"index":%d,"status":200,"result":{"tag":"item-%d","by":%q}}`, i, i, successor.name)
+		if l != want {
+			t.Errorf("line %d = %s, want %s", i, l, want)
 		}
+	}
+	if want := fmt.Sprintf(`{"done":true,"items":%d,"completed":%d,"truncated":false}`, n, n); lines[n] != want {
+		t.Errorf("trailer %s, want %s", lines[n], want)
+	}
+	if r.targets[order[0]].healthy.Load() {
+		t.Errorf("shard with unsplicable lines still marked healthy")
 	}
 }
