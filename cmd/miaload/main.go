@@ -164,7 +164,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	// that already holds the image.
 	contentType := "application/json"
 	if *useWire {
-		contentType = "application/x-mia-wire"
+		contentType = wire.ContentType
 	}
 	lgs := make([]*loadGraph, *graphs)
 	var numTasks int

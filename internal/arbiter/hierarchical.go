@@ -68,7 +68,7 @@ func (h *HierarchicalRR) Bound(dst Request, competitors []Request, _ model.BankI
 	}
 	dstGroup := int(dst.Core) / h.GroupSize
 	var slots model.Accesses
-	//mialint:ignore hotpathalloc -- per-call scratch sized by group fan-out; Bound must stay stateless because the parallel kernel calls it from every partition concurrently
+	//mialint:ignore hotpathalloc -- per-call scratch sized by group fan-out; Bound must stay stateless because concurrent analyses of one shared image call it at once
 	otherGroups := make(map[int]model.Accesses)
 	for _, c := range competitors {
 		g := int(c.Core) / h.GroupSize

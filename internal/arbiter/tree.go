@@ -105,14 +105,14 @@ func (t *TreeRR) Bound(dst Request, competitors []Request, _ model.BankID) model
 	}
 	cap := t.capacity()
 	dstPort := int(dst.Core) % cap
-	//mialint:ignore hotpathalloc -- per-call scratch sized by tree depth; Bound must stay stateless because the parallel kernel calls it from every partition concurrently
+	//mialint:ignore hotpathalloc -- per-call scratch sized by tree depth; Bound must stay stateless because concurrent analyses of one shared image call it at once
 	dstDigits := make([]int, len(t.Levels))
 	t.digitsInto(dstDigits, dstPort)
 	//mialint:ignore hotpathalloc -- per-call scratch reused across the competitor loop
 	cDigits := make([]int, len(t.Levels))
 	var slots model.Accesses
 	type groupKey struct{ stage, subtree int }
-	//mialint:ignore hotpathalloc -- per-call scratch sized by tree fan-out; Bound must stay stateless because the parallel kernel calls it from every partition concurrently
+	//mialint:ignore hotpathalloc -- per-call scratch sized by tree fan-out; Bound must stay stateless because concurrent analyses of one shared image call it at once
 	groups := make(map[groupKey]model.Accesses)
 	for _, c := range competitors {
 		port := int(c.Core) % cap

@@ -50,40 +50,6 @@ func TestWarmAnalyzeSteadyStateAllocationFree(t *testing.T) {
 	}
 }
 
-// TestWarmParallelAnalyzeSteadyStateAllocationFree pins the allocation
-// contract for the parallel kernel: once the workers have been spawned (on
-// the first parallel run) and the pooled buffers have grown, repeated
-// parallel Analyze calls are allocation-free — the fork/join cycle is pure
-// channel signaling over parked goroutines, with per-partition scratch
-// reused across events.
-func TestWarmParallelAnalyzeSteadyStateAllocationFree(t *testing.T) {
-	p := gen.NewParams(8, 16)
-	p.Seed = 3
-	p.Cores, p.Banks = 8, 4
-	img, err := engine.Compile(gen.MustLayered(p), sched.Options{Parallelism: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := engine.MustNew(engine.Incremental).NewWarm(img)
-	defer engine.CloseWarm(w)
-	ctx := context.Background()
-	// Two warm-ups: the first spawns the kernel workers and grows the
-	// buffers, the second runs with the steady-state checkpoint stride.
-	for i := 0; i < 2; i++ {
-		if _, err := w.Analyze(ctx); err != nil {
-			t.Fatal(err)
-		}
-	}
-	avg := testing.AllocsPerRun(10, func() {
-		if _, err := w.Analyze(ctx); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if avg != 0 {
-		t.Fatalf("steady-state parallel Analyze allocates %.1f objects per run, want 0", avg)
-	}
-}
-
 // TestWarmRescheduleSteadyStateAllocationFree pins the same contract for
 // the neighborhood-evaluation cycle through the façade: overlay swap, warm
 // Reschedule, swap back — exactly how the serving layer drives it.

@@ -138,3 +138,9 @@ func (e *Engine) Analyze(ctx context.Context, img *Image) (*sched.Result, error)
 
 // NewWarm creates a reusable single-goroutine analyzer over img.
 func (e *Engine) NewWarm(img *Image) Warm { return e.b.NewWarm(img) }
+
+// CloseWarm releases whatever a warm analyzer holds beyond garbage-collected
+// memory. No backend holds anything else, so it does nothing: an analyzer
+// nobody references is simply collected. It stays for the end-to-end
+// benchmark harness (e2ebench), which calls it on every evicted analyzer.
+func CloseWarm(Warm) {}

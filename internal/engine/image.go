@@ -11,7 +11,8 @@
 // analysis — the per-core execution orders a search permutes — lives in a
 // separate per-analyzer Orders overlay. That is what makes sharing sound:
 // any number of goroutines may analyze the same Image concurrently, each
-// with its own Orders and its own backend state, with no locks.
+// with its own Orders and its own backend state, with no locks. Each
+// analysis itself is sequential: concurrency lives between analyses.
 package engine
 
 import (

@@ -69,49 +69,12 @@ func analyzeImage(img *engine.Image, ord *engine.Orders, cancel <-chan struct{})
 		}
 	}
 
-	// The per-task bounds are mutually independent (each reads only the
-	// immutable image and the frozen perCore totals, and writes only its
-	// own result rows), so with Options.Parallelism > 1 they are computed
-	// over fixed task partitions — bit-identical to the sequential loop by
-	// construction. Each partition owns a competitor scratch buffer and
-	// polls cancellation itself; workers are joined before the function
-	// returns either way.
-	parts := img.Opts.Workers()
-	if parts > n {
-		parts = n
-	}
-	if parts > 1 {
-		kern := engine.NewKernel(parts)
-		stopped := make([]bool, parts)
-		bufs := make([][]arbiter.Request, parts)
-		for p := range bufs {
-			bufs[p] = make([]arbiter.Request, 0, n)
+	comps := make([]arbiter.Request, 0, n)
+	for i := 0; i < n; i++ {
+		if canceled(cancel) {
+			return nil, sched.ErrCanceled
 		}
-		kern.SetTask(func(part int) {
-			lo, hi := engine.PartitionRange(n, parts, part)
-			for i := lo; i < hi; i++ {
-				if canceled(cancel) {
-					stopped[part] = true
-					return
-				}
-				bufs[part] = taskBound(img, arb, separate, perCore, bufs[part], i, res)
-			}
-		})
-		kern.Run()
-		kern.Close()
-		for _, st := range stopped {
-			if st {
-				return nil, sched.ErrCanceled
-			}
-		}
-	} else {
-		comps := make([]arbiter.Request, 0, n)
-		for i := 0; i < n; i++ {
-			if canceled(cancel) {
-				return nil, sched.ErrCanceled
-			}
-			comps = taskBound(img, arb, separate, perCore, comps, i, res)
-		}
+		comps = taskBound(img, arb, separate, perCore, comps, i, res)
 	}
 
 	// Same-core predecessor table from the order overlay, then the release
@@ -173,8 +136,7 @@ func analyzeImage(img *engine.Image, ord *engine.Orders, cancel <-chan struct{})
 }
 
 // taskBound computes one task's per-bank interference bounds, total
-// interference and response time, writing only that task's rows of res. It
-// is the shared body of the sequential loop and the parallel partitions;
+// interference and response time, writing only that task's rows of res.
 // comps is a reusable competitor scratch buffer, returned so the caller can
 // keep its grown capacity.
 //

@@ -104,34 +104,6 @@ func analyze(img *engine.Image, ord *engine.Orders, cancel <-chan struct{}) (*sc
 	newInter := make([]model.Cycles, n)
 	w := newWindower(img)
 
-	// Parallel interference pass (Options.Parallelism > 1): each partition
-	// recomputes a fixed task range with its own windower (the gather and
-	// competitor buffers are per-instance scratch); newInter[i] and
-	// res.PerBank[i] writes are disjoint per task and every per-task value
-	// is independent of the others within a round, so the pass is
-	// bit-identical to the sequential loop at any partition count. Workers
-	// are scoped to this call by the deferred Close.
-	parts := img.Opts.Workers()
-	if parts > n {
-		parts = n
-	}
-	var kern *engine.Kernel
-	if parts > 1 {
-		ws := make([]*windower, parts)
-		ws[0] = w
-		for p := 1; p < parts; p++ {
-			ws[p] = newWindower(img)
-		}
-		kern = engine.NewKernel(parts)
-		kern.SetTask(func(part int) {
-			lo, hi := engine.PartitionRange(n, parts, part)
-			for i := lo; i < hi; i++ {
-				newInter[i] = ws[part].interference(rel, fin, model.TaskID(i), res.PerBank[i])
-			}
-		})
-		defer kern.Close()
-	}
-
 	// Initial schedule: releases under zero interference.
 	if err := releasePass(img, pred, resp, rel, newRel, deadline); err != nil {
 		return nil, err
@@ -163,12 +135,8 @@ func analyze(img *engine.Image, ord *engine.Orders, cancel <-chan struct{}) (*sc
 			for i := 0; i < n; i++ {
 				fin[i] = rel[i] + resp[i]
 			}
-			if kern != nil {
-				kern.Run()
-			} else {
-				for i := 0; i < n; i++ {
-					newInter[i] = w.interference(rel, fin, model.TaskID(i), res.PerBank[i])
-				}
+			for i := 0; i < n; i++ {
+				newInter[i] = w.interference(rel, fin, model.TaskID(i), res.PerBank[i])
 			}
 			interChanged := false
 			for i := 0; i < n; i++ {

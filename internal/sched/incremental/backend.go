@@ -14,14 +14,10 @@ type backend struct{}
 
 func init() { engine.Register(engine.Incremental, backend{}) }
 
-// Analyze runs one cold analysis of the image's baseline orders. A parallel
-// run's kernel workers are scoped to the call: they spawn on the first
-// parallel event and are joined before returning, so cold analyses never
-// strand goroutines.
+// Analyze runs one cold analysis of the image's baseline orders.
 func (backend) Analyze(ctx context.Context, img *engine.Image) (*sched.Result, error) {
 	st := newState(img, img.NewOrders())
 	st.cancel = img.CancelWith(ctx)
-	defer st.close()
 	return st.run()
 }
 

@@ -65,9 +65,7 @@ func Schedule(g *model.Graph, opts sched.Options) (*sched.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	st := newState(img, img.NewOrders())
-	defer st.close()
-	return st.run()
+	return newState(img, img.NewOrders()).run()
 }
 
 // slot is the per-core scheduling state: the alive task of the core (if
@@ -135,28 +133,7 @@ type state struct {
 	// interference update (the slice escapes through the Arbiter
 	// interface).
 	scratch []arbiter.Request
-
-	// Parallel Alive-set exchange (Options.Parallelism > 1, no trace).
-	// The per-event interference exchange partitions by *destination*
-	// core: every alive destination's competitor sets, memoized terms and
-	// result rows are exclusively owned, so each partition replays its
-	// destinations' exact sequential source order with no synchronization
-	// beyond the kernel's fork-join barrier — bit-identical by
-	// construction at every partition count (DESIGN §3.7).
-	par        bool                // parallel exchange enabled
-	parts      int                 // fixed partition count (≤ cores)
-	kern       *engine.Kernel      // fork-join worker group, lazily spawned
-	mark       []uint8             // per-core alive marks for the current event
-	news       []model.CoreID      // cores opened at the current event, ascending
-	parScratch [][]arbiter.Request // per-partition fast-path scratch
 }
-
-// Per-core alive marks of one event's exchange phase.
-const (
-	markIdle uint8 = iota // core not alive after the opens
-	markOld               // alive before this event's opens
-	markNew               // opened at this event
-)
 
 // newState builds the run state over a compiled image, reading the per-core
 // orders from ord. The image's compiled options select arbiter, deadline,
@@ -192,38 +169,8 @@ func newState(img *engine.Image, ord *engine.Orders) *state {
 			s.slots[k].compIdx[b] = make([]int32, img.Cores)
 		}
 	}
-	// Parallel exchange: more partitions than cores cannot help (the
-	// exchange partitions by destination core), and a trace hook needs the
-	// sequential event interleaving, so both degrade to the sequential
-	// path. The kernel is constructed here but spawns its workers only on
-	// the first event that actually has parallel work.
-	if parts := img.Opts.Workers(); parts > 1 && img.Opts.Trace == nil {
-		if parts > img.Cores {
-			parts = img.Cores
-		}
-		if parts > 1 {
-			s.par = true
-			s.parts = parts
-			s.kern = engine.NewKernel(parts)
-			s.kern.SetTask(s.exchangePart)
-			s.mark = make([]uint8, img.Cores)
-			s.news = make([]model.CoreID, 0, img.Cores)
-			s.parScratch = make([][]arbiter.Request, parts)
-			for p := range s.parScratch {
-				s.parScratch[p] = make([]arbiter.Request, 1)
-			}
-		}
-	}
 	s.reset()
 	return s
-}
-
-// close releases the parallel kernel's parked workers, if any. The state
-// stays usable: the next parallel event respawns them.
-func (s *state) close() {
-	if s.kern != nil {
-		s.kern.Close()
-	}
 }
 
 // reset rewinds the state to the initial instant (cursor 0, nothing closed,
@@ -296,15 +243,8 @@ func (s *state) run() (*sched.Result, error) {
 		// Step 3-4: open ready heads of the per-core execution orders.
 		// Newly opened tasks immediately join the alive set, so several
 		// tasks opening at the same event see each other (step 5 pairing
-		// happens inside open). The parallel variant computes the same
-		// opens sequentially, then partitions the pairing by destination
-		// core — bit-identical, kept as a separate function so the
-		// sequential path stays the differential oracle.
-		if s.par {
-			s.openAtPar(s.t)
-		} else {
-			s.openAt(s.t)
-		}
+		// happens inside open).
+		s.openAt(s.t)
 
 		if s.closed == n {
 			break
@@ -402,141 +342,8 @@ func (s *state) openAt(t model.Cycles) {
 			if k2 == k || other.task == model.NoTask {
 				continue
 			}
-			s.addCompetitor(t, sl, id, other.task, s.scratch)
-			s.addCompetitor(t, other, other.task, id, s.scratch)
-		}
-	}
-}
-
-// openAtPar is openAt with the step-5 pairing partitioned across the
-// kernel. Phase one is sequential and identical to openAt's open decisions:
-// they read only dependency counts, head indices and minimal releases —
-// never interference — so splitting them off changes nothing. It records
-// which cores were already alive (markOld) and which opened now (markNew,
-// collected ascending in news). Phase two runs exchangePart over every
-// partition; each partition owns a contiguous destination-core range and
-// replays, per destination, the exact source order the sequential pairing
-// would have used, so the accumulated competitor sets, memoized terms, and
-// result rows are bit-identical at any partition count.
-//
-//mia:hotpath
-func (s *state) openAtPar(t model.Cycles) {
-	s.news = s.news[:0]
-	for k := range s.slots {
-		sl := &s.slots[k]
-		if sl.task != model.NoTask {
-			s.mark[k] = markOld
-			continue
-		}
-		s.mark[k] = markIdle
-		order := s.ord.Order(model.CoreID(k))
-		if s.headIdx[k] >= len(order) {
-			continue
-		}
-		id := order[s.headIdx[k]]
-		if s.depsLeft[id] > 0 || s.img.MinRelease[id] > t {
-			continue
-		}
-		s.headIdx[k]++
-		sl.task = id
-		s.res.Release[id] = t
-		s.res.Interference[id] = 0
-		sl.finish = t + s.img.WCET[id]
-		for b := range sl.comp {
-			for _, r := range sl.comp[b] {
-				sl.compIdx[b][r.Core] = -1
-			}
-			sl.comp[b] = sl.comp[b][:0]
-			sl.terms[b] = sl.terms[b][:0]
-		}
-		s.mark[k] = markNew
-		s.news = append(s.news, model.CoreID(k))
-	}
-	alive := s.aliveCount()
-	if len(s.news) == 0 || alive < 2 {
-		return // no new pairs to exchange
-	}
-	// Small events are exchanged inline: below the cutoff the pairing work
-	// cannot amortize the fork/join signaling, and the inline path walks
-	// the same destinations in the same order, so the choice is invisible
-	// in the results.
-	if len(s.news)*alive < parExchangeCutoff {
-		s.exchangeRange(0, len(s.slots), s.parScratch[0])
-		return
-	}
-	s.kern.Run()
-}
-
-// parExchangeCutoff is the minimum pairing-work estimate (newly opened
-// tasks × alive tasks) at which one event's exchange is worth a kernel
-// fork/join; smaller events run inline on the caller.
-const parExchangeCutoff = 128
-
-// aliveCount counts the cores with an alive task.
-//
-//mia:hotpath
-func (s *state) aliveCount() int {
-	n := 0
-	for k := range s.slots {
-		if s.slots[k].task != model.NoTask {
-			n++
-		}
-	}
-	return n
-}
-
-// exchangePart performs the step-5 interference exchange for the alive
-// destinations of one partition's core range. For every destination it
-// replays the sequential pairing's source order exactly:
-//
-//   - an old-alive destination receives the newly opened tasks in
-//     ascending core order (in openAt, each new task pairs with it as the
-//     new task opens, and opens happen in ascending core order);
-//   - a newly opened destination on core k first receives, in ascending
-//     core order, every task alive at the moment k opened (the old-alive
-//     set plus the news below k — openAt's inner pairing loop), then the
-//     news above k in ascending core order (each pairs with k as it
-//     opens).
-//
-// All writes — competitor sets, memoized terms, compIdx, PerBank row,
-// Interference, finish — are owned by the destination, so partitions never
-// race; integer sums in replayed order make the merge exact, not
-// approximate.
-//
-//mia:hotpath
-func (s *state) exchangePart(part int) {
-	lo, hi := engine.PartitionRange(len(s.slots), s.parts, part)
-	s.exchangeRange(lo, hi, s.parScratch[part])
-}
-
-// exchangeRange is exchangePart's body over an explicit destination-core
-// range; the inline small-event path runs it over all cores on the caller.
-//
-//mia:hotpath
-func (s *state) exchangeRange(lo, hi int, scratch []arbiter.Request) {
-	for k := lo; k < hi; k++ {
-		sl := &s.slots[k]
-		switch s.mark[k] {
-		case markOld:
-			dst := sl.task
-			for _, k2 := range s.news {
-				s.addCompetitor(s.t, sl, dst, s.slots[k2].task, scratch)
-			}
-		case markNew:
-			dst := sl.task
-			for k2 := range s.slots {
-				if k2 == k {
-					continue
-				}
-				if m := s.mark[k2]; m == markOld || (m == markNew && k2 < k) {
-					s.addCompetitor(s.t, sl, dst, s.slots[k2].task, scratch)
-				}
-			}
-			for k2 := k + 1; k2 < len(s.slots); k2++ {
-				if s.mark[k2] == markNew {
-					s.addCompetitor(s.t, sl, dst, s.slots[k2].task, scratch)
-				}
-			}
+			s.addCompetitor(t, sl, id, other.task)
+			s.addCompetitor(t, other, other.task, id)
 		}
 	}
 }
@@ -546,13 +353,10 @@ func (s *state) exchangeRange(lo, hi int, scratch []arbiter.Request) {
 // The shared banks are the AND of the two tasks' demand bitsets, walked
 // word-at-a-time in ascending bank order — the blocked form of the former
 // per-bank scan over the zero-extended demand rows, visiting exactly the
-// banks that scan would have charged, in the same order. scratch is the
-// caller-owned one-element request buffer of the additive fast path (per
-// partition under parallel exchange, so concurrent destinations never share
-// it).
+// banks that scan would have charged, in the same order.
 //
 //mia:hotpath
-func (s *state) addCompetitor(t model.Cycles, sl *slot, dst, src model.TaskID, scratch []arbiter.Request) {
+func (s *state) addCompetitor(t model.Cycles, sl *slot, dst, src model.TaskID) {
 	var grew model.Cycles
 	dstRow := s.img.DemandRow(dst)
 	srcRow := s.img.DemandRow(src)
@@ -562,7 +366,7 @@ func (s *state) addCompetitor(t model.Cycles, sl *slot, dst, src model.TaskID, s
 		for mw != 0 {
 			b := wi<<6 + bits.TrailingZeros64(mw)
 			mw &= mw - 1
-			grew += s.accountOnBank(sl, dst, src, model.BankID(b), dstRow[b], srcRow[b], scratch)
+			grew += s.accountOnBank(sl, dst, src, model.BankID(b), dstRow[b], srcRow[b])
 		}
 	}
 	if grew == 0 {
@@ -574,11 +378,10 @@ func (s *state) addCompetitor(t model.Cycles, sl *slot, dst, src model.TaskID, s
 }
 
 // accountOnBank merges src's demand w into dst's competitor set on bank b
-// and returns the growth of dst's interference bound on that bank. scratch
-// is the caller's one-element fast-path buffer.
+// and returns the growth of dst's interference bound on that bank.
 //
 //mia:hotpath
-func (s *state) accountOnBank(sl *slot, dst, src model.TaskID, b model.BankID, d, w model.Accesses, scratch []arbiter.Request) model.Cycles {
+func (s *state) accountOnBank(sl *slot, dst, src model.TaskID, b model.BankID, d, w model.Accesses) model.Cycles {
 	dstReq := arbiter.Request{Core: s.img.CoreOf[dst], Demand: d}
 	srcCore := s.img.CoreOf[src]
 	comps := sl.comp[b]
@@ -588,7 +391,7 @@ func (s *state) accountOnBank(sl *slot, dst, src model.TaskID, b model.BankID, d
 		req := arbiter.Request{Core: srcCore, Demand: w}
 		sl.comp[b] = append(comps, req)
 		if s.fast {
-			term := arbiter.One(s.arb, dstReq, req, b, scratch)
+			term := arbiter.One(s.arb, dstReq, req, b, s.scratch)
 			sl.terms[b] = append(sl.terms[b], term)
 			s.res.PerBank[sl.task][b] += term
 			return term
@@ -626,13 +429,13 @@ func (s *state) accountOnBank(sl *slot, dst, src model.TaskID, b model.BankID, d
 		req := arbiter.Request{Core: srcCore, Demand: w}
 		sl.compIdx[b][srcCore] = int32(len(comps))
 		sl.comp[b] = append(comps, req)
-		term := arbiter.One(s.arb, dstReq, req, b, scratch)
+		term := arbiter.One(s.arb, dstReq, req, b, s.scratch)
 		sl.terms[b] = append(sl.terms[b], term)
 		s.res.PerBank[sl.task][b] += term
 		return term
 	}
 	comps[idx].Demand += w
-	term := arbiter.One(s.arb, dstReq, comps[idx], b, scratch)
+	term := arbiter.One(s.arb, dstReq, comps[idx], b, s.scratch)
 	delta := term - sl.terms[b][idx]
 	sl.terms[b][idx] = term
 	s.res.PerBank[sl.task][b] += delta

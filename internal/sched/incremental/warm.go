@@ -146,13 +146,6 @@ func (w *warm) Reschedule(ctx context.Context, edits ...engine.Edit) (*sched.Res
 	return w.st.run()
 }
 
-// Close joins the parked worker goroutines of the parallel exchange kernel,
-// when the compiled options enabled one (Options.Parallelism > 1);
-// engine.CloseWarm reaches it through the optional-Close assertion. The
-// analyzer — checkpoints, warm baseline and all — remains fully usable: the
-// next parallel run simply respawns the workers.
-func (w *warm) Close() { w.st.close() }
-
 // checkpoint is the state's event-boundary hook: during recording runs it
 // captures every stride-th event into the store, compacting (drop every
 // other checkpoint, double the stride) when the store outgrows its bound.

@@ -26,7 +26,9 @@ import (
 
 // Options parameterizes a scheduling run. The zero value asks for a flat
 // round-robin bus with single-cycle service, no deadline, and the paper's
-// same-core competitor merging.
+// same-core competitor merging. Every backend runs one analysis on its
+// caller's goroutine; concurrency lives between analyses (sweep jobs,
+// search workers, serving shards), never inside one.
 type Options struct {
 	// Arbiter is the bus-arbitration policy (IBUS). Nil selects flat
 	// round-robin with WordLatency 1.
@@ -63,28 +65,6 @@ type Options struct {
 	// it to impose wall-clock timeouts on the O(n⁴) baseline, as the
 	// paper's benchmarks do.
 	Cancel <-chan struct{}
-
-	// Parallelism is the number of worker goroutines a backend may use
-	// *inside* one analysis: the per-event Alive-set exchange of the
-	// incremental scheduler, the per-round interference pass of the
-	// fixed-point baseline, and the per-task bound loop of the RTA screen
-	// partition their work across this many fixed partitions. 0 and 1 both
-	// select the sequential path, preserving the pre-parallel behavior
-	// exactly. Results are bit-identical at every level: partitions have
-	// fixed, size-derived boundaries and each partition replays the exact
-	// per-destination accumulation order of the sequential code, so the
-	// reduction is deterministic by construction (see DESIGN §3.7), not by
-	// synchronization. Parallelism composes with, and is independent of,
-	// analysis-level concurrency such as bench sweeps' Jobs.
-	Parallelism int
-}
-
-// Workers resolves Parallelism to the effective partition count: at least 1.
-func (o Options) Workers() int {
-	if o.Parallelism < 1 {
-		return 1
-	}
-	return o.Parallelism
 }
 
 // Canceled reports whether the options' cancel channel is closed.

@@ -14,13 +14,6 @@ import (
 	"github.com/mia-rt/mia/internal/wire"
 )
 
-// readGraphJSON parses an embedded graph object (the "graph" field of a
-// batch request). The body size cap was already applied when the enclosing
-// request was read.
-func (s *Server) readGraphJSON(raw json.RawMessage) (*model.Graph, error) {
-	return model.ReadJSON(bytes.NewReader(raw))
-}
-
 // batchRequest is the JSON body of POST /v1/batch: one graph — by value or
 // by the fingerprint of an earlier analyze — plus an array of edit
 // scenarios to evaluate against it. Exactly one of Hash/Graph must be set.
@@ -68,7 +61,7 @@ func (s *Server) parseBatch(r *http.Request) (string, []batchItem, *reply) {
 	}
 	var img *engine.Image
 	var items []batchItem
-	if isWire(r) {
+	if wire.IsContentType(r.Header.Get("Content-Type")) {
 		body, err := io.ReadAll(http.MaxBytesReader(nil, r.Body, s.cfg.MaxRequestBytes))
 		if err != nil {
 			return fail(http.StatusBadRequest, err.Error())
@@ -89,6 +82,7 @@ func (s *Server) parseBatch(r *http.Request) (string, []batchItem, *reply) {
 		if err := dec.Decode(&rest); err != nil {
 			return fail(http.StatusBadRequest, "parsing batch items after wire blob: "+err.Error())
 		}
+		img = s.images.put(img.Fingerprint(), img)
 		items = rest.Items
 	} else {
 		var req batchRequest
@@ -97,35 +91,53 @@ func (s *Server) parseBatch(r *http.Request) (string, []batchItem, *reply) {
 		if err := dec.Decode(&req); err != nil {
 			return fail(http.StatusBadRequest, "parsing batch request: "+err.Error())
 		}
-		switch {
-		case req.Hash != "" && req.Graph != nil:
-			return fail(http.StatusBadRequest, "set either hash or graph, not both")
-		case req.Hash != "":
-			var ok bool
-			if img, ok = s.images.get(req.Hash); !ok {
-				return fail(http.StatusNotFound,
-					"unknown graph hash (analyze it first; the registry is an LRU and may have evicted it)")
-			}
-		case req.Graph != nil:
-			g, err := s.readGraphJSON(req.Graph)
-			if err != nil {
-				return fail(http.StatusBadRequest, err.Error())
-			}
-			if img, err = engine.Compile(g, s.cfg.Sched); err != nil {
-				return fail(http.StatusBadRequest, err.Error())
-			}
-			s.met.ingestJSON.Add(1)
-		default:
-			return fail(http.StatusBadRequest, "missing graph: set hash or graph")
+		var rep *reply
+		if img, rep = s.resolveGraph(req.Hash, req.Graph); rep != nil {
+			return "", nil, rep
 		}
 		items = req.Items
 	}
 	if len(items) == 0 {
 		return fail(http.StatusBadRequest, "batch has no items")
 	}
-	hash := img.Fingerprint()
-	s.images.put(hash, img)
-	return hash, items, nil
+	return img.Fingerprint(), items, nil
+}
+
+// resolveGraph turns the graph part of a JSON request body — the
+// fingerprint of an earlier upload or an inline graph object — into a
+// compiled image. An inline graph is compiled and registered, and the
+// canonical image the registry returns is used, so concurrent uploads of one
+// graph share one image. The body size cap was already applied when the
+// enclosing request was read. On failure it returns the reply to send
+// instead.
+func (s *Server) resolveGraph(hash string, graph json.RawMessage) (*engine.Image, *reply) {
+	fail := func(status int, msg string) (*engine.Image, *reply) {
+		return nil, &reply{status: status, body: errBody(msg)}
+	}
+	switch {
+	case hash != "" && len(graph) > 0:
+		return fail(http.StatusBadRequest, "set either hash or graph, not both")
+	case hash != "":
+		img, ok := s.images.get(hash)
+		if !ok {
+			return fail(http.StatusNotFound,
+				"unknown graph hash (analyze it first; the registry is an LRU and may have evicted it)")
+		}
+		return img, nil
+	case len(graph) > 0:
+		g, err := model.ReadJSON(bytes.NewReader(graph))
+		if err != nil {
+			return fail(http.StatusBadRequest, err.Error())
+		}
+		img, err := engine.Compile(g, s.cfg.Sched)
+		if err != nil {
+			return fail(http.StatusBadRequest, err.Error())
+		}
+		s.met.ingestJSON.Add(1)
+		return s.images.put(img.Fingerprint(), img), nil
+	default:
+		return fail(http.StatusBadRequest, "missing graph: set hash or graph")
+	}
 }
 
 // streamBatch admits the scenario list as one worker job and streams its

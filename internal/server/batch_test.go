@@ -151,7 +151,7 @@ func TestBatchWireIngest(t *testing.T) {
 
 	body := append(wire.EncodeGraph(roundTrip(t, g)),
 		[]byte(`{"items":[{"swaps":[]},{"swaps":[{"core":2,"pos":0}]}]}`)...)
-	rr := doBatch(s, wireContentType, body)
+	rr := doBatch(s, wire.ContentType, body)
 	if rr.Code != http.StatusOK {
 		t.Fatalf("wire batch: %d (%s)", rr.Code, rr.Body.String())
 	}
@@ -183,7 +183,7 @@ func TestAnalyzeWireIngest(t *testing.T) {
 
 	req := httptest.NewRequest(http.MethodPost, "/v1/analyze",
 		bytes.NewReader(wire.EncodeGraph(roundTrip(t, g))))
-	req.Header.Set("Content-Type", wireContentType)
+	req.Header.Set("Content-Type", wire.ContentType)
 	rr := httptest.NewRecorder()
 	s.Handler().ServeHTTP(rr, req)
 	if rr.Code != http.StatusOK {
@@ -206,29 +206,36 @@ func TestAnalyzeWireIngest(t *testing.T) {
 func TestBatchBadInputs(t *testing.T) {
 	s := newTestServer(t, Config{Workers: 1})
 	hash := responseHash(t, analyzeGraph(t, s, graphJSON(t, gen.Figure2())))
+	const bothBody = `{"error":"set either hash or graph, not both"}`
 	cases := []struct {
 		name        string
 		contentType string
 		body        string
 		want        int
+		wantBody    string // exact error body; empty = status only
 	}{
-		{"no items", "", fmt.Sprintf(`{"hash":%q,"items":[]}`, hash), http.StatusBadRequest},
-		{"missing graph", "", `{"items":[{"swaps":[]}]}`, http.StatusBadRequest},
-		{"unknown hash", "", `{"hash":"deadbeef","items":[{"swaps":[]}]}`, http.StatusNotFound},
-		{"hash and graph", "", fmt.Sprintf(`{"hash":%q,"graph":{},"items":[{"swaps":[]}]}`, hash), http.StatusBadRequest},
-		{"unknown field", "", fmt.Sprintf(`{"hash":%q,"items":[{"swaps":[]}],"bogus":1}`, hash), http.StatusBadRequest},
-		{"malformed", "", "{", http.StatusBadRequest},
-		{"wire junk", wireContentType, "not a wire blob", http.StatusBadRequest},
-		{"wire items garbage", wireContentType,
-			string(wire.EncodeGraph(gen.Figure2())) + `{"bogus":[]}`, http.StatusBadRequest},
-		{"wire missing items", wireContentType,
-			string(wire.EncodeGraph(gen.Figure2())), http.StatusBadRequest},
+		{"no items", "", fmt.Sprintf(`{"hash":%q,"items":[]}`, hash), http.StatusBadRequest, ""},
+		{"missing graph", "", `{"items":[{"swaps":[]}]}`, http.StatusBadRequest, ""},
+		{"unknown hash", "", `{"hash":"deadbeef","items":[{"swaps":[]}]}`, http.StatusNotFound, ""},
+		{"hash and graph", "", fmt.Sprintf(`{"hash":%q,"graph":{},"items":[{"swaps":[]}]}`, hash), http.StatusBadRequest, bothBody},
+		{"hash and full graph", "", fmt.Sprintf(`{"hash":%q,"graph":%s,"items":[{"swaps":[]}]}`, hash, graphJSON(t, gen.Figure2())),
+			http.StatusBadRequest, bothBody},
+		{"unknown field", "", fmt.Sprintf(`{"hash":%q,"items":[{"swaps":[]}],"bogus":1}`, hash), http.StatusBadRequest, ""},
+		{"malformed", "", "{", http.StatusBadRequest, ""},
+		{"wire junk", wire.ContentType, "not a wire blob", http.StatusBadRequest, ""},
+		{"wire items garbage", wire.ContentType,
+			string(wire.EncodeGraph(gen.Figure2())) + `{"bogus":[]}`, http.StatusBadRequest, ""},
+		{"wire missing items", wire.ContentType,
+			string(wire.EncodeGraph(gen.Figure2())), http.StatusBadRequest, ""},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			rr := doBatch(s, tc.contentType, []byte(tc.body))
 			if rr.Code != tc.want {
 				t.Fatalf("got %d, want %d (%s)", rr.Code, tc.want, rr.Body.String())
+			}
+			if tc.wantBody != "" && rr.Body.String() != tc.wantBody {
+				t.Fatalf("body %s, want %s", rr.Body.String(), tc.wantBody)
 			}
 		})
 	}

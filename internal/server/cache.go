@@ -7,34 +7,17 @@ import (
 	"github.com/mia-rt/mia/internal/engine"
 )
 
-// closeWarmFn releases a retired analyzer's resources (parked kernel
-// workers). A package variable so tests can intercept closes and assert an
-// in-use analyzer is never freed.
-var closeWarmFn = engine.CloseWarm
-
 // warmEntry is one worker's warm analysis state for one graph fingerprint: a
 // warm analyzer over the shared compiled image. The analyzer's private order
 // overlay is the committed checkpoint baseline; reschedule requests permute
 // it and undo afterwards. Entries are confined to the worker that built
 // them, so nothing here is synchronized — the image itself is immutable and
-// shared by every worker's entry for the fingerprint.
-//
-// refs/retired make the eviction/in-use interaction safe by construction: a
-// handler brackets its use of the analyzer with acquire/release, and the
-// cache marks displaced entries retired instead of closing them directly.
-// The underlying analyzer is closed exactly once, at whichever of "last
-// release" and "retire" happens second — so an LRU eviction landing while
-// the evicted entry is still mid-analysis (today impossible only because
-// both happen on one worker goroutine) can never free state the analysis is
-// standing on.
+// shared by every worker's entry for the fingerprint. An evicted entry a request still holds is just a pointer: the garbage
+// collector keeps the analyzer alive until that request is done with it.
 type warmEntry struct {
 	hash string
 	img  *engine.Image
 	w    engine.Warm
-
-	refs    int
-	retired bool
-	closed  bool
 }
 
 // newWarmEntry binds a fresh warm analyzer to the shared image for exclusive
@@ -43,34 +26,6 @@ type warmEntry struct {
 // per-worker mutable state.
 func newWarmEntry(hash string, img *engine.Image) *warmEntry {
 	return &warmEntry{hash: hash, img: img, w: eng.NewWarm(img)}
-}
-
-// acquire marks the entry in use by one request. Pair with release.
-func (e *warmEntry) acquire() { e.refs++ }
-
-// release drops one use; the last release of a retired entry closes it.
-func (e *warmEntry) release() {
-	e.refs--
-	if e.retired && e.refs <= 0 {
-		e.close()
-	}
-}
-
-// retire marks the entry evicted from its cache: it closes now if idle, or
-// at the final release otherwise. Idempotent.
-func (e *warmEntry) retire() {
-	e.retired = true
-	if e.refs <= 0 {
-		e.close()
-	}
-}
-
-func (e *warmEntry) close() {
-	if e.closed {
-		return
-	}
-	e.closed = true
-	closeWarmFn(e.w)
 }
 
 // warmCache is a worker-private LRU of warmEntry values keyed by graph
@@ -96,16 +51,10 @@ func (c *warmCache) get(hash string) (*warmEntry, bool) {
 	return el.Value.(*warmEntry), true
 }
 
-// put inserts an entry, evicting the least recently used one past capacity.
-// Displaced analyzers are retired, not closed: an entry a request is still
-// holding (refs > 0) survives until that request's release, so eviction can
-// never free an analyzer mid-use. Idle entries close immediately, keeping
-// the old guarantee that parked kernel workers do not outlive residency.
+// put inserts an entry, evicting the least recently used one past capacity
+// (or replacing an entry with the same hash).
 func (c *warmCache) put(e *warmEntry) {
 	if el, ok := c.entries[e.hash]; ok {
-		if old := el.Value.(*warmEntry); old != e {
-			old.retire()
-		}
 		el.Value = e
 		c.order.MoveToFront(el)
 		return
@@ -113,22 +62,9 @@ func (c *warmCache) put(e *warmEntry) {
 	c.entries[e.hash] = c.order.PushFront(e)
 	if c.order.Len() > c.cap {
 		last := c.order.Back()
-		evicted := last.Value.(*warmEntry)
-		delete(c.entries, evicted.hash)
+		delete(c.entries, last.Value.(*warmEntry).hash)
 		c.order.Remove(last)
-		evicted.retire()
 	}
-}
-
-// closeAll retires every cached analyzer (releasing any parked kernel
-// workers once unreferenced) and empties the cache. Called once the owning
-// worker goroutine has exited, so by then every entry is idle.
-func (c *warmCache) closeAll() {
-	for el := c.order.Front(); el != nil; el = el.Next() {
-		el.Value.(*warmEntry).retire()
-	}
-	c.entries = make(map[string]*list.Element)
-	c.order.Init()
 }
 
 // imageCache is the shared fingerprint → compiled-image registry. Analyze

@@ -103,8 +103,6 @@ func (wk *worker) analyze(ctx context.Context, s *Server, img *engine.Image, has
 		e = newWarmEntry(hash, img)
 		wk.cache.put(e)
 	}
-	e.acquire() // pin across the analysis: a cache eviction cannot close e.w mid-run
-	defer e.release()
 	var res *sched.Result
 	var err error
 	if warm {
@@ -184,8 +182,6 @@ func (wk *worker) whatIf(ctx context.Context, s *Server, hash string, swaps []sw
 		e = newWarmEntry(hash, img)
 		wk.cache.put(e)
 	}
-	e.acquire() // pin across apply-evaluate-undo: eviction cannot close e.w mid-scenario
-	defer e.release()
 	warm := e.w.Warm()
 	cacheNote := "miss"
 	if warm {

@@ -7,13 +7,11 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
-	"strings"
 	"sync"
 
 	"github.com/mia-rt/mia/internal/engine"
 	"github.com/mia-rt/mia/internal/explore/objective"
 	"github.com/mia-rt/mia/internal/explore/pareto"
-	"github.com/mia-rt/mia/internal/model"
 	"github.com/mia-rt/mia/internal/ndjson"
 )
 
@@ -312,33 +310,9 @@ func (s *Server) handleJobCreate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	var img *engine.Image
-	switch {
-	case req.Hash != "" && len(req.Graph) > 0:
-		s.writeReply(w, reply{status: http.StatusBadRequest, body: errBody("set hash or graph, not both")})
-		return
-	case req.Hash != "":
-		var ok bool
-		if img, ok = s.images.get(req.Hash); !ok {
-			s.writeReply(w, reply{status: http.StatusNotFound,
-				body: errBody("unknown graph hash (analyze it first; the registry is an LRU and may have evicted it)")})
-			return
-		}
-	case len(req.Graph) > 0:
-		g, err := model.ReadJSON(strings.NewReader(string(req.Graph)))
-		if err != nil {
-			s.writeReply(w, reply{status: http.StatusBadRequest, body: errBody(err.Error())})
-			return
-		}
-		img, err = engine.Compile(g, s.cfg.Sched)
-		if err != nil {
-			s.writeReply(w, reply{status: http.StatusBadRequest, body: errBody(err.Error())})
-			return
-		}
-		s.met.ingestJSON.Add(1)
-		img = s.images.put(img.Fingerprint(), img)
-	default:
-		s.writeReply(w, reply{status: http.StatusBadRequest, body: errBody("missing graph: set hash or graph")})
+	img, rep := s.resolveGraph(req.Hash, req.Graph)
+	if rep != nil {
+		s.writeReply(w, *rep)
 		return
 	}
 

@@ -297,21 +297,26 @@ func TestJobValidation(t *testing.T) {
 	s := newTestServer(t, Config{Workers: 1})
 	graph := smokeGraphJSON(t)
 	cases := []struct {
-		name string
-		body string
-		want int
+		name     string
+		body     string
+		want     int
+		wantBody string // exact error body; empty = status only
 	}{
-		{"missing graph", `{}`, http.StatusBadRequest},
-		{"both hash and graph", fmt.Sprintf(`{"hash":"deadbeef","graph":%s}`, graph), http.StatusBadRequest},
-		{"unknown hash", `{"hash":"deadbeef"}`, http.StatusNotFound},
-		{"unknown objective", fmt.Sprintf(`{"graph":%s,"objectives":["nope"]}`, graph), http.StatusBadRequest},
-		{"unknown field", fmt.Sprintf(`{"graph":%s,"bogus":1}`, graph), http.StatusBadRequest},
+		{"missing graph", `{}`, http.StatusBadRequest, ""},
+		{"both hash and graph", fmt.Sprintf(`{"hash":"deadbeef","graph":%s}`, graph), http.StatusBadRequest,
+			`{"error":"set either hash or graph, not both"}`},
+		{"unknown hash", `{"hash":"deadbeef"}`, http.StatusNotFound, ""},
+		{"unknown objective", fmt.Sprintf(`{"graph":%s,"objectives":["nope"]}`, graph), http.StatusBadRequest, ""},
+		{"unknown field", fmt.Sprintf(`{"graph":%s,"bogus":1}`, graph), http.StatusBadRequest, ""},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			rr := do(s, http.MethodPost, "/v1/jobs", bytes.NewReader([]byte(tc.body)))
 			if rr.Code != tc.want {
 				t.Errorf("got %d, want %d (body %s)", rr.Code, tc.want, rr.Body.String())
+			}
+			if tc.wantBody != "" && rr.Body.String() != tc.wantBody {
+				t.Errorf("body %s, want %s", rr.Body.String(), tc.wantBody)
 			}
 		})
 	}

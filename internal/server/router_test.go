@@ -15,6 +15,7 @@ import (
 
 	"github.com/mia-rt/mia/internal/gen"
 	"github.com/mia-rt/mia/internal/shard"
+	"github.com/mia-rt/mia/internal/wire"
 )
 
 // fleetShard is one real in-process miaserve shard behind a real listener —
@@ -161,6 +162,36 @@ func TestRouterParityCorpus(t *testing.T) {
 				t.Fatalf("%s: routed batch diverges from direct\n direct: %s\n routed: %s",
 					label, dB.Body.Bytes(), rB.Body.Bytes())
 			}
+		}
+	}
+}
+
+// TestRouterWireMediaTypeParameter: a wire body whose Content-Type carries
+// a spaced parameter ("application/x-mia-wire ;v=1") is wire to the router
+// exactly as it is to a shard, so routed analyze and batch answer the same
+// bytes as a direct server.
+func TestRouterWireMediaTypeParameter(t *testing.T) {
+	const ct = wire.ContentType + " ;v=1"
+	direct := newTestServer(t, Config{Workers: 1})
+	_, urls := newFleet(t, 2, Config{Workers: 1})
+	router := newFleetRouter(t, urls, shard.Config{Replicas: 2, Retries: 3})
+
+	blob := wire.EncodeGraph(roundTrip(t, gen.Figure2()))
+	batch := append(append([]byte{}, blob...), `{"items":[{"swaps":[]},{"swaps":[{"core":2,"pos":0}]}]}`...)
+	for _, c := range []struct {
+		target string
+		body   []byte
+	}{{"/v1/analyze", blob}, {"/v1/batch", batch}} {
+		req := httptest.NewRequest(http.MethodPost, c.target, bytes.NewReader(c.body))
+		req.Header.Set("Content-Type", ct)
+		d := httptest.NewRecorder()
+		direct.Handler().ServeHTTP(d, req)
+		r := routedDo(router, http.MethodPost, c.target, ct, c.body)
+		if d.Code != http.StatusOK || r.Code != http.StatusOK {
+			t.Fatalf("%s: direct=%d routed=%d (routed body %s)", c.target, d.Code, r.Code, r.Body.String())
+		}
+		if !bytes.Equal(d.Body.Bytes(), r.Body.Bytes()) {
+			t.Fatalf("%s: routed diverges from direct\n direct: %s\n routed: %s", c.target, d.Body.Bytes(), r.Body.Bytes())
 		}
 	}
 }

@@ -42,7 +42,6 @@ import (
 	"net/http"
 	"runtime"
 	"strconv"
-	"strings"
 	"time"
 
 	"github.com/mia-rt/mia/internal/engine"
@@ -51,6 +50,7 @@ import (
 	"github.com/mia-rt/mia/internal/pool"
 	"github.com/mia-rt/mia/internal/sched"
 	_ "github.com/mia-rt/mia/internal/sched/incremental" // registers the "incremental" engine backend
+	"github.com/mia-rt/mia/internal/wire"
 )
 
 // eng is the analysis backend every request runs on: the paper's incremental
@@ -219,11 +219,6 @@ func (s *Server) Close() {
 	s.BeginDrain()
 	s.jobs.wg.Wait() // cancelled by BeginDrain; wait for the goroutines to land
 	s.runner.Drain()
-	// The worker goroutines have exited; release any parked intra-analysis
-	// kernel workers their cached warm analyzers still hold.
-	for _, w := range s.workers {
-		w.cache.closeAll()
-	}
 }
 
 // reply is what a worker computes for one request; the handler goroutine
@@ -375,27 +370,13 @@ func (s *Server) readGraph(r *http.Request) (*model.Graph, error) {
 	return model.ReadJSON(http.MaxBytesReader(nil, r.Body, s.cfg.MaxRequestBytes))
 }
 
-// wireContentType is the media type of binary wire-format graph bodies
-// (internal/wire). Graph-carrying endpoints accept it interchangeably with
-// graph JSON; the binary path compiles without materializing a graph.
-const wireContentType = "application/x-mia-wire"
-
-// isWire reports whether the request body is declared as binary wire format.
-func isWire(r *http.Request) bool {
-	ct := r.Header.Get("Content-Type")
-	if i := strings.Index(ct, ";"); i >= 0 {
-		ct = ct[:i]
-	}
-	return strings.TrimSpace(ct) == wireContentType
-}
-
 // compileBody compiles a request body into a problem image, dispatching on
 // Content-Type: wire blobs take the zero-graph CompileFromWire fast path,
 // everything else parses as graph JSON. Both paths apply the body size cap
 // and full validation; the ingest counters record which one served each
 // graph-carrying request.
 func (s *Server) compileBody(r *http.Request) (*engine.Image, error) {
-	if isWire(r) {
+	if wire.IsContentType(r.Header.Get("Content-Type")) {
 		body, err := io.ReadAll(http.MaxBytesReader(nil, r.Body, s.cfg.MaxRequestBytes))
 		if err != nil {
 			return nil, err

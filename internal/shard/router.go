@@ -310,7 +310,7 @@ func (r *Router) routeFingerprint(req *http.Request, path string, body []byte) s
 	if fp := req.Header.Get(wire.RouteHeader); fp != "" {
 		return fp
 	}
-	if isWireBody(req) {
+	if wire.IsContentType(req.Header.Get("Content-Type")) {
 		// Unary wire bodies are a whole blob; batch wire bodies are a blob
 		// followed by the items object. Size tells us where the blob ends.
 		n, err := wire.Size(body)
@@ -343,16 +343,6 @@ func (r *Router) routeFingerprint(req *http.Request, path string, body []byte) s
 		}
 	}
 	return string(body)
-}
-
-// isWireBody reports whether the request declares the binary wire media
-// type (mirrors the shard-side check).
-func isWireBody(r *http.Request) bool {
-	ct := r.Header.Get("Content-Type")
-	if i := bytes.IndexByte([]byte(ct), ';'); i >= 0 {
-		ct = ct[:i]
-	}
-	return ct == "application/x-mia-wire"
 }
 
 // forward issues one attempt of a request to one shard and returns the
@@ -681,7 +671,7 @@ type parsedBatch struct {
 // interprets swaps.
 func (r *Router) parseBatchBody(req *http.Request, body []byte) (*parsedBatch, error) {
 	pb := &parsedBatch{}
-	if isWireBody(req) {
+	if wire.IsContentType(req.Header.Get("Content-Type")) {
 		n, err := wire.Size(body)
 		if err != nil || n > len(body) {
 			return nil, errors.New("batch body must start with a wire graph blob")
@@ -730,7 +720,7 @@ func (pb *parsedBatch) subBody(indices []int) (string, []byte) {
 		body = append(body, `{"items":`...)
 		body = append(body, items.Bytes()...)
 		body = append(body, '}')
-		return "application/x-mia-wire", body
+		return wire.ContentType, body
 	}
 	var body bytes.Buffer
 	body.WriteByte('{')

@@ -1,5 +1,23 @@
 package wire
 
+import "strings"
+
+// ContentType is the HTTP media type of a request body in this format.
+// Graph-carrying endpoints accept it interchangeably with graph JSON.
+const ContentType = "application/x-mia-wire"
+
+// IsContentType reports whether a Content-Type header value declares the
+// wire media type: parameters after ';' are ignored and surrounding
+// whitespace is trimmed, so "application/x-mia-wire ;v=1" qualifies. Shards
+// and routers both decide with this one function, so a body is wire on
+// every hop or on none.
+func IsContentType(ct string) bool {
+	if i := strings.IndexByte(ct, ';'); i >= 0 {
+		ct = ct[:i]
+	}
+	return strings.TrimSpace(ct) == ContentType
+}
+
 // RouteHeader is the HTTP header a shard-aware client may set to the
 // canonical graph fingerprint of the request body. It is a routing hint for
 // the multi-node tier: a router that finds it skips decoding the body to

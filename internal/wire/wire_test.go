@@ -251,3 +251,20 @@ func itoa(n int) string {
 	}
 	return string(buf[i:])
 }
+
+func TestIsContentType(t *testing.T) {
+	for ct, want := range map[string]bool{
+		"application/x-mia-wire":         true,
+		"application/x-mia-wire;v=1":     true,
+		"application/x-mia-wire ;v=1":    true,
+		" application/x-mia-wire ":       true,
+		"":                               false,
+		"application/json":               false,
+		"application/x-mia-wire-v2":      false,
+		"application/json; x-mia-wire=1": false,
+	} {
+		if got := IsContentType(ct); got != want {
+			t.Errorf("IsContentType(%q) = %v, want %v", ct, got, want)
+		}
+	}
+}
