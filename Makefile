@@ -77,12 +77,14 @@ bench-update:
 # Determinism gate for the multi-objective search (DESIGN §3.11): the smoke
 # search's Pareto front must hash to the golden fingerprint pinned in
 # pareto_test.go, and the cross-jobs/repeat-run byte-identity suite must
-# hold under the race detector. An intentional change to the search (new
-# mutation weights, different crowding tie-break, …) re-pins the golden by
-# running the test once and copying the fingerprint from the failure.
+# hold under the race detector, as must the differential oracle that pins
+# the search's flat evaluation path to materializing and recompiling each
+# genome's graph. An intentional change to the search (new mutation
+# weights, different crowding tie-break, …) re-pins the golden by running
+# the test once and copying the fingerprint from the failure.
 pareto-smoke:
 	$(GO) test -race ./internal/explore/pareto -run \
-	  'TestSmokeGoldenFingerprint|TestByteIdenticalAcrossJobs|TestRepeatedSeededRunsIdentical' -v
+	  'TestSmokeGoldenFingerprint|TestByteIdenticalAcrossJobs|TestRepeatedSeededRunsIdentical|TestFlatEvaluationMatchesMaterialized' -v
 
 # The tentpole's safety net, runnable on its own: the engine path (compile
 # once, analyze through the façade — cold, warm, replay, both algorithms)

@@ -6,7 +6,6 @@ import (
 
 	"github.com/mia-rt/mia/internal/engine"
 	"github.com/mia-rt/mia/internal/gen"
-	"github.com/mia-rt/mia/internal/model"
 	"github.com/mia-rt/mia/internal/sched"
 )
 
@@ -60,12 +59,12 @@ func TestWarmRescheduleSteadyStateAllocationFree(t *testing.T) {
 	if _, err := w.Analyze(ctx); err != nil {
 		t.Fatal(err)
 	}
-	core, pos, ok := legalSwap(img.NewGraph())
+	core, pos, ok := legalSwapImage(img)
 	if !ok {
 		t.Fatal("no legal swap site")
 	}
 	ord := w.Orders()
-	edits := []engine.Edit{{Core: model.CoreID(core), From: pos}}
+	edits := []engine.Edit{{Core: core, From: pos}}
 	cycle := func() {
 		ord.Swap(core, pos)
 		if _, err := w.Reschedule(ctx, edits...); err != nil {

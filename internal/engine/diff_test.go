@@ -236,7 +236,9 @@ func TestEditedRescheduleMatchesDirectPath(t *testing.T) {
 
 // TestImageFingerprintMatchesGraph pins the hash bridge: an image's
 // fingerprint equals the source graph's canonical fingerprint, so image
-// registries and graph registries key identically.
+// registries and graph registries key identically — and so does the flat
+// placement of the image's own configuration, whose demand is re-derived
+// under the same bank table the graph was compiled with.
 func TestImageFingerprintMatchesGraph(t *testing.T) {
 	g := gen.Figure1()
 	img, err := engine.Compile(g, sched.Options{})
@@ -246,7 +248,8 @@ func TestImageFingerprintMatchesGraph(t *testing.T) {
 	if img.Fingerprint() != g.Fingerprint() {
 		t.Fatalf("image fingerprint %s != graph fingerprint %s", img.Fingerprint(), g.Fingerprint())
 	}
-	if ng := img.NewGraph(); ng.Fingerprint() != g.Fingerprint() {
-		t.Fatalf("NewGraph fingerprint diverges")
+	placed := img.Place(img.CoreOf, img.NewOrders().View(), img.BankTable)
+	if placed.Fingerprint() != g.Fingerprint() {
+		t.Fatalf("identity Place fingerprint diverges")
 	}
 }

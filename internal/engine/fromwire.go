@@ -12,9 +12,8 @@ import (
 // wire's package comment), and the decoded flat arrays are the image's slab
 // layout already, so they are adopted without copying. Only the derived
 // structures the wire format deliberately omits are built here: the demand
-// bitset masks and the CSR adjacency, both in linear time. No intermediate
-// model.Graph is allocated; images needing one (NewGraph) materialize it
-// lazily.
+// bitset masks and the CSR adjacency, both in linear time. No model.Graph
+// is ever allocated.
 //
 // The resulting image is indistinguishable from Compile on the same graph:
 // identical Fingerprint, identical analysis output from every backend, cold
@@ -27,10 +26,10 @@ func CompileFromWire(data []byte, opts sched.Options) (*Image, error) {
 	return CompileRaw(raw, opts)
 }
 
-// CompileRaw builds an image around an already-validated flat graph. The
+// CompileRaw validates a flat graph and builds an image around it. The
 // image adopts raw's backing arrays — the caller must not mutate raw after
 // handing it over. Use CompileFromWire unless you already hold a decoded
-// RawGraph.
+// RawGraph or a placement (Image.Place).
 func CompileRaw(raw *model.RawGraph, opts sched.Options) (*Image, error) {
 	if err := raw.Validate(); err != nil {
 		return nil, err

@@ -89,16 +89,13 @@ type Image struct {
 	// resolved to their effective values.
 	Opts sched.Options
 
-	// Exactly one of g / raw is set at Compile time. JSON-path images
-	// (Compile) carry a frozen private graph clone; wire-path images
-	// (CompileFromWire) carry the decoded flat form and only materialize a
-	// graph lazily, if NewGraph is ever called — fingerprints and edges are
-	// served from the flat form directly, keeping graph assembly off the
-	// hot ingest path. Methods branch on raw (never on g, which gOnce may
-	// be concurrently populating).
-	g     *model.Graph
-	raw   *model.RawGraph
-	gOnce sync.Once
+	// Exactly one of g / raw is set at Compile time, and only fingerprints
+	// and edges read it. JSON-path images (Compile) carry a frozen private
+	// graph clone; flat-path images (CompileRaw, CompileFromWire) carry
+	// their flat form and never assemble a graph, which keeps graph
+	// assembly off the hot ingest path and out of the Pareto search.
+	g   *model.Graph
+	raw *model.RawGraph
 
 	fpOnce sync.Once
 	fp     string
@@ -269,27 +266,41 @@ func (img *Image) orderHasher() *model.OrderHasher {
 	return img.oh
 }
 
-// graph returns the image's private graph, materializing it from the flat
-// form on first use for wire-path images. The raw form passed full
-// validation at decode time, so materialization cannot fail; an error here
-// is a broken invariant, not an input condition.
-func (img *Image) graph() *model.Graph {
-	img.gOnce.Do(func() {
-		if img.g != nil {
-			return
-		}
-		g, err := img.raw.Graph()
-		if err != nil {
-			panic("engine: validated wire image failed graph materialization: " + err.Error())
-		}
-		img.g = g
-	})
-	return img.g
+// Place returns the flat form of the image's problem under another
+// placement: task id runs on core assign[id], core k executes orders[k],
+// and core k's reserved data lives on bank table[k] (folded modulo Banks,
+// as Graph.CompileDemands folds its policy). Demand is re-derived by
+// RawGraph.CompileDemands from the image's Local accesses and edge
+// volumes, exactly as recompiling the materialized graph under table
+// would. The result shares the image's read-only WCET, MinRelease, Local
+// and Edges; Core, the order CSR, BankTable and Demand are fresh.
+//
+// assign must name cores in [0, Cores), orders must have Cores entries,
+// and table Cores non-negative entries. Nothing else is checked here:
+// CompileRaw validates the result (orders against assign and edges), and
+// its Fingerprint is the recompiled graph's whether or not it is valid.
+func (img *Image) Place(assign []model.CoreID, orders [][]model.TaskID, table []model.BankID) *model.RawGraph {
+	raw := &model.RawGraph{
+		Cores:      img.Cores,
+		Banks:      img.Banks,
+		WCET:       img.WCET,
+		MinRelease: img.MinRelease,
+		Local:      img.Local,
+		Edges:      img.Edges(),
+		Core:       append([]model.CoreID(nil), assign...),
+		Demand:     make([]model.Accesses, img.NumTasks*img.Banks),
+		OrderStart: make([]int32, img.Cores+1),
+		OrderIDs:   make([]model.TaskID, 0, img.NumTasks),
+		BankTable:  make([]model.BankID, img.Cores),
+	}
+	for k := 0; k < img.Cores; k++ {
+		raw.OrderIDs = append(raw.OrderIDs, orders[k]...)
+		raw.OrderStart[k+1] = int32(len(raw.OrderIDs))
+		raw.BankTable[k] = model.BankID(int(table[k]) % img.Banks)
+	}
+	raw.CompileDemands()
+	return raw
 }
-
-// NewGraph materializes a fresh mutable graph equal to the compiled one —
-// the image-side replacement for defensive g.Clone() at consumer level.
-func (img *Image) NewGraph() *model.Graph { return img.graph().Clone() }
 
 // CancelWith resolves the cancellation channel for one analysis run: the
 // context's Done channel when the context is cancellable, otherwise the

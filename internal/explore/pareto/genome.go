@@ -42,7 +42,7 @@ func (p Policy) String() string {
 }
 
 // Table materializes the policy as an explicit core→bank table. The search
-// always recompiles from tables, never from policy closures: a closure
+// always places genomes from tables, never from policy closures: a closure
 // reading live graph state (the g.CompileDemands(g.BankOf) trap) would
 // observe its own partial updates.
 func (p Policy) Table(cores, banks int) []model.BankID {
@@ -69,8 +69,8 @@ type Genome struct {
 	// re-derived under.
 	Policy Policy
 	// structural is true when Assign or Policy differ from the compiled
-	// image, forcing recompile+cold evaluation instead of the warm
-	// order-overlay path.
+	// image, so the genome is evaluated on its own flat placement instead
+	// of the image's order overlay.
 	structural bool
 }
 

@@ -16,13 +16,16 @@
 // selection break all ties by population index; the archive orders its
 // front canonically by objective values, then fingerprint.
 //
-// Each evaluation worker owns a warm analyzer over the shared compiled
-// image: order-only genomes load their permutation into the worker's order
-// overlay and analyze without any recompile or graph materialization;
-// structural genomes (remapped or repolicied) materialize a graph, rebuild
-// demands from an explicit bank table, recompile, and analyze cold. Both
-// paths are pure functions of the genome, so results never depend on which
-// worker evaluated what.
+// No evaluation builds a model.Graph. Each evaluation worker owns an
+// analyzer over the shared compiled image: order-only genomes load their
+// permutation into the worker's order overlay and analyze cold on the
+// image's own demand rows. Structural genomes (remapped or repolicied) are
+// placed flat — Image.Place re-derives demand from the image's local
+// accesses and edge volumes under the genome's bank table in O(n·B + E) —
+// and compiled with engine.CompileRaw, which validates them exactly as a
+// recompiled graph would be. Neither path records warm-start checkpoints,
+// because the search never reschedules. Both paths are pure functions of
+// the genome, so results never depend on which worker evaluated what.
 package pareto
 
 import (
@@ -36,6 +39,7 @@ import (
 	"github.com/mia-rt/mia/internal/explore/objective"
 	"github.com/mia-rt/mia/internal/model"
 	"github.com/mia-rt/mia/internal/pool"
+	"github.com/mia-rt/mia/internal/sched"
 	_ "github.com/mia-rt/mia/internal/sched/incremental" // registers the "incremental" engine backend
 )
 
@@ -99,9 +103,9 @@ type Result struct {
 	Front       []Point
 }
 
-// worker is one evaluation slot: a warm analyzer over the shared image for
-// order-only genomes, and the engine façade for cold analyses of
-// recompiled structural genomes.
+// worker is one evaluation slot: a warm analyzer over the shared image
+// whose order overlay carries order-only genomes, and the engine façade for
+// cold analyses of placed structural genomes.
 type worker struct {
 	img  *engine.Image
 	eng  *engine.Engine
@@ -119,47 +123,14 @@ type evalOut struct {
 	valid  bool
 }
 
-// eval analyzes one genome. Pure function of the genome: warm order-only
-// evaluations are bit-identical to cold ones, and structural evaluations
-// recompile from scratch.
+// eval analyzes one genome and scores it.
 func (wk *worker) eval(ctx context.Context, g *Genome) evalOut {
-	policy := "baseline"
+	out := evalOut{policy: "baseline"}
 	if g.Policy != PolicyBaseline {
-		policy = g.Policy.String()
+		out.policy = g.Policy.String()
 	}
-	if !g.structural {
-		ord := wk.w.Orders()
-		for k := range g.Orders {
-			ord.SetOrder(model.CoreID(k), g.Orders[k])
-		}
-		out := evalOut{fp: wk.img.FingerprintOrders(ord), policy: policy}
-		res, err := wk.w.Analyze(ctx)
-		if err != nil {
-			out.values = infValues(len(wk.objs))
-			return out
-		}
-		out.valid = true
-		out.values = scores(wk.objs, objective.Eval{Img: wk.img, Res: res})
-		return out
-	}
-	gg := wk.img.NewGraph()
-	for id, core := range g.Assign {
-		gg.Task(model.TaskID(id)).Core = core
-	}
-	for k := range g.Orders {
-		gg.SetOrder(model.CoreID(k), g.Orders[k])
-	}
-	tab := append([]model.BankID(nil), wk.img.BankTable...)
-	if g.Policy != PolicyBaseline {
-		tab = g.Policy.Table(gg.Cores, gg.Banks)
-	}
-	gg.CompileDemands(func(k model.CoreID) model.BankID { return tab[k] })
-	img, err := engine.Compile(gg, wk.img.Opts)
-	if err != nil {
-		return evalOut{values: infValues(len(wk.objs)), fp: gg.Fingerprint(), policy: policy}
-	}
-	out := evalOut{fp: img.Fingerprint(), policy: policy}
-	res, err := wk.eng.Analyze(ctx, img)
+	img, fp, res, err := wk.analyze(ctx, g)
+	out.fp = fp
 	if err != nil {
 		out.values = infValues(len(wk.objs))
 		return out
@@ -167,6 +138,38 @@ func (wk *worker) eval(ctx context.Context, g *Genome) evalOut {
 	out.valid = true
 	out.values = scores(wk.objs, objective.Eval{Img: img, Res: res})
 	return out
+}
+
+// analyze runs one cold analysis of the genome and returns the image it ran
+// on, the genome's canonical fingerprint (the fingerprint of the graph the
+// genome describes, valid or not) and the result, or the validation or
+// analysis error. It is a pure function of the genome. Order-only genomes
+// run on the worker's order overlay of the shared image, keeping its demand
+// rows; structural genomes run on a fresh image compiled from their flat
+// placement, with demand re-derived under the genome's bank table. Neither
+// path records checkpoints: the search never reschedules. The result
+// belongs to the worker and is overwritten by its next call.
+func (wk *worker) analyze(ctx context.Context, g *Genome) (*engine.Image, string, *sched.Result, error) {
+	if !g.structural {
+		ord := wk.w.Orders()
+		for k := range g.Orders {
+			ord.SetOrder(model.CoreID(k), g.Orders[k])
+		}
+		res, err := wk.w.AnalyzeCold(ctx)
+		return wk.img, wk.img.FingerprintOrders(ord), res, err
+	}
+	tab := wk.img.BankTable
+	if g.Policy != PolicyBaseline {
+		tab = g.Policy.Table(wk.img.Cores, wk.img.Banks)
+	}
+	raw := wk.img.Place(g.Assign, g.Orders, tab)
+	fp := raw.Fingerprint()
+	img, err := engine.CompileRaw(raw, wk.img.Opts)
+	if err != nil {
+		return nil, fp, nil, err
+	}
+	res, err := wk.eng.Analyze(ctx, img)
+	return img, fp, res, err
 }
 
 func infValues(n int) []float64 {

@@ -7,17 +7,23 @@ import (
 
 	"github.com/mia-rt/mia/internal/engine"
 	"github.com/mia-rt/mia/internal/gen"
+	"github.com/mia-rt/mia/internal/model"
 	"github.com/mia-rt/mia/internal/sched"
 )
 
-// smokeImage is the instance the determinism suite and the pareto-smoke CI
+// smokeGraph is the instance the determinism suite and the pareto-smoke CI
 // gate share: a 20-task layered graph on a 4-core/4-bank platform.
-func smokeImage(t testing.TB) *engine.Image {
-	t.Helper()
+func smokeGraph() *model.Graph {
 	p := gen.NewParams(5, 4)
 	p.Seed = 11
 	p.Cores, p.Banks = 4, 4
-	img, err := engine.Compile(gen.MustLayered(p), sched.Options{})
+	return gen.MustLayered(p)
+}
+
+// smokeImage compiles smokeGraph.
+func smokeImage(t testing.TB) *engine.Image {
+	t.Helper()
+	img, err := engine.Compile(smokeGraph(), sched.Options{})
 	if err != nil {
 		t.Fatalf("Compile: %v", err)
 	}

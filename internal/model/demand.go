@@ -33,7 +33,8 @@ func StripedBanks(banks int) func(CoreID) BankID {
 //
 // The policy's results are folded modulo the graph's bank count so that any
 // policy is safe on any platform. CompileDemands may be called again to
-// re-derive demands under a different policy.
+// re-derive demands under a different policy. RawGraph.CompileDemands is
+// the same rule on the flat form.
 func (g *Graph) CompileDemands(bankOf func(CoreID) BankID) {
 	if bankOf == nil {
 		bankOf = SharedBank
@@ -49,6 +50,22 @@ func (g *Graph) CompileDemands(bankOf func(CoreID) BankID) {
 		src := g.tasks[e.From]
 		dstBank := g.bankOf(g.tasks[e.To].Core)
 		src.Demand[dstBank] += e.Words
+	}
+}
+
+// CompileDemands fills the flat form's Demand by the rule of
+// Graph.CompileDemands, with BankTable as the policy: each task's Local
+// accesses go on its own core's bank, and each edge's Words go on the
+// source task's row at the bank of the target's core. BankTable must
+// already be folded into [0, Banks) and Demand sized NumTasks × Banks; its
+// previous contents are overwritten. O(n·B + E).
+func (r *RawGraph) CompileDemands() {
+	clear(r.Demand)
+	for i, core := range r.Core {
+		r.Demand[i*r.Banks+int(r.BankTable[core])] += r.Local[i]
+	}
+	for _, e := range r.Edges {
+		r.Demand[int(e.From)*r.Banks+int(r.BankTable[r.Core[e.To]])] += e.Words
 	}
 }
 

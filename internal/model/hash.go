@@ -38,50 +38,50 @@ func (g *Graph) Fingerprint() string {
 // OrderHasher once instead: it freezes the digest midstate after the
 // static sections, so each overlay pays only for its own bytes.
 func (g *Graph) FingerprintWithOrders(orders [][]TaskID) string {
-	h := sha256.New()
-	g.hashStatic(h)
-	hashOrders(h, orders)
+	w := wordWriter{h: sha256.New()}
+	g.hashStatic(&w)
+	hashOrders(&w, orders)
 	for k := 0; k < g.Cores; k++ {
-		putInt(h, int64(g.BankOf(CoreID(k))))
+		w.put(int64(g.BankOf(CoreID(k))))
 	}
-	return hex.EncodeToString(h.Sum(nil))
+	return w.sum()
 }
 
 // hashStatic feeds the order-independent prefix of the canonical
-// serialization — version, platform shape, tasks, edges — into h. The
+// serialization — version, platform shape, tasks, edges — into w. The
 // orders section and the bank table follow it, in that order.
-func (g *Graph) hashStatic(h hash.Hash) {
-	putInt(h, fingerprintVersion)
-	putInt(h, int64(g.Cores))
-	putInt(h, int64(g.Banks))
+func (g *Graph) hashStatic(w *wordWriter) {
+	w.put(fingerprintVersion)
+	w.put(int64(g.Cores))
+	w.put(int64(g.Banks))
 
-	putInt(h, int64(len(g.tasks)))
+	w.put(int64(len(g.tasks)))
 	for _, t := range g.tasks {
-		putInt(h, int64(t.WCET))
-		putInt(h, int64(t.Core))
-		putInt(h, int64(t.MinRelease))
-		putInt(h, int64(t.Local))
-		putInt(h, int64(len(t.Demand)))
+		w.put(int64(t.WCET))
+		w.put(int64(t.Core))
+		w.put(int64(t.MinRelease))
+		w.put(int64(t.Local))
+		w.put(int64(len(t.Demand)))
 		for _, d := range t.Demand {
-			putInt(h, int64(d))
+			w.put(int64(d))
 		}
 	}
 
-	putInt(h, int64(len(g.edges)))
+	w.put(int64(len(g.edges)))
 	for _, e := range g.edges {
-		putInt(h, int64(e.From))
-		putInt(h, int64(e.To))
-		putInt(h, int64(e.Words))
+		w.put(int64(e.From))
+		w.put(int64(e.To))
+		w.put(int64(e.Words))
 	}
 }
 
 // hashOrders feeds the orders section of the canonical serialization.
-func hashOrders(h hash.Hash, orders [][]TaskID) {
-	putInt(h, int64(len(orders)))
+func hashOrders(w *wordWriter, orders [][]TaskID) {
+	w.put(int64(len(orders)))
 	for _, order := range orders {
-		putInt(h, int64(len(order)))
+		w.put(int64(len(order)))
 		for _, id := range order {
-			putInt(h, int64(id))
+			w.put(int64(id))
 		}
 	}
 }
@@ -102,14 +102,15 @@ type OrderHasher struct {
 
 // OrderHasher returns a reusable overlay fingerprinter for this graph.
 func (g *Graph) OrderHasher() *OrderHasher {
-	h := sha256.New()
-	g.hashStatic(h)
+	w := wordWriter{h: sha256.New()}
+	g.hashStatic(&w)
+	w.flush()
 	//mialint:ignore hotpathalloc -- constructor: freezing the midstate allocates by design; hot paths reach it only through the per-image once-guard
 	bank := make([]int64, g.Cores)
 	for k := range bank {
 		bank[k] = int64(g.BankOf(CoreID(k)))
 	}
-	return newOrderHasher(h, bank)
+	return newOrderHasher(w.h, bank)
 }
 
 // newOrderHasher freezes the digest midstate. The stdlib SHA-256 digest
@@ -136,11 +137,12 @@ func newOrderHasher(h hash.Hash, bank []int64) *OrderHasher {
 func (oh *OrderHasher) Sum(orders [][]TaskID) string {
 	h := sha256.New()
 	restoreMidstate(h, oh.state)
-	hashOrders(h, orders)
+	w := wordWriter{h: h}
+	hashOrders(&w, orders)
 	for _, b := range oh.bank {
-		putInt(h, b)
+		w.put(b)
 	}
-	return hex.EncodeToString(h.Sum(nil))
+	return w.sum()
 }
 
 // restoreMidstate rewinds a fresh digest to a frozen midstate. Restoring a
@@ -153,10 +155,36 @@ func restoreMidstate(h hash.Hash, state []byte) {
 	}
 }
 
-// putInt feeds one integer into the hash in fixed-width little-endian form,
-// so field boundaries are unambiguous regardless of value magnitude.
-func putInt(h hash.Hash, v int64) {
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], uint64(v))
-	h.Write(buf[:])
+// wordWriter feeds the canonical serialization into a digest as
+// fixed-width little-endian words, so field boundaries are unambiguous
+// regardless of value magnitude. Words collect in a fixed buffer that
+// reaches the digest one block per Write: a fingerprint costs the same
+// handful of allocations at any graph size, where a Write per word would
+// heap-allocate every word's bytes (they escape through hash.Hash). Call
+// flush before marshaling the digest; sum flushes itself.
+type wordWriter struct {
+	h   hash.Hash
+	n   int
+	buf [512]byte // a multiple of the SHA-256 block size
+}
+
+// put appends one word, handing a full buffer to the digest first.
+func (w *wordWriter) put(v int64) {
+	if w.n == len(w.buf) {
+		w.flush()
+	}
+	binary.LittleEndian.PutUint64(w.buf[w.n:], uint64(v))
+	w.n += 8
+}
+
+// flush writes the buffered words to the digest.
+func (w *wordWriter) flush() {
+	w.h.Write(w.buf[:w.n])
+	w.n = 0
+}
+
+// sum flushes and returns the hex-encoded digest.
+func (w *wordWriter) sum() string {
+	w.flush()
+	return hex.EncodeToString(w.h.Sum(nil))
 }

@@ -2,9 +2,7 @@ package model
 
 import (
 	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
-	"hash"
 )
 
 // RawGraph is the flattened, demand-compiled form of a Graph: every
@@ -73,9 +71,7 @@ func (r *RawGraph) Order(k CoreID) []TaskID {
 // what lets a wire-ingested image share warm-analyzer cache keys with a
 // JSON-ingested one.
 func (r *RawGraph) Fingerprint() string {
-	h := sha256.New()
-	r.hashInto(h, nil)
-	return hex.EncodeToString(h.Sum(nil))
+	return r.fingerprint(nil)
 }
 
 // FingerprintWith returns the fingerprint the graph would have if its
@@ -83,57 +79,57 @@ func (r *RawGraph) Fingerprint() string {
 // of Graph.FingerprintWithOrders, used by engine images built from wire
 // blobs to hash edited order overlays.
 func (r *RawGraph) FingerprintWith(orders [][]TaskID) string {
-	h := sha256.New()
-	r.hashInto(h, orders)
-	return hex.EncodeToString(h.Sum(nil))
+	return r.fingerprint(orders)
 }
 
-// hashInto feeds the canonical serialization into h. orders == nil means
-// "use the CSR orders carried by the RawGraph itself".
-func (r *RawGraph) hashInto(h hash.Hash, orders [][]TaskID) {
-	r.hashStatic(h)
+// fingerprint hashes the canonical serialization. orders == nil means "use
+// the CSR orders carried by the RawGraph itself".
+func (r *RawGraph) fingerprint(orders [][]TaskID) string {
+	w := wordWriter{h: sha256.New()}
+	r.hashStatic(&w)
 	if orders != nil {
-		hashOrders(h, orders)
+		hashOrders(&w, orders)
 	} else {
-		putInt(h, int64(r.Cores))
+		w.put(int64(r.Cores))
 		for k := 0; k < r.Cores; k++ {
 			order := r.Order(CoreID(k))
-			putInt(h, int64(len(order)))
+			w.put(int64(len(order)))
 			for _, id := range order {
-				putInt(h, int64(id))
+				w.put(int64(id))
 			}
 		}
 	}
 	for k := 0; k < r.Cores; k++ {
-		putInt(h, int64(r.BankTable[k]))
+		w.put(int64(r.BankTable[k]))
 	}
+	return w.sum()
 }
 
 // hashStatic feeds the order-independent prefix — version, platform shape,
 // tasks, edges — matching Graph.hashStatic byte for byte.
-func (r *RawGraph) hashStatic(h hash.Hash) {
-	putInt(h, fingerprintVersion)
-	putInt(h, int64(r.Cores))
-	putInt(h, int64(r.Banks))
+func (r *RawGraph) hashStatic(w *wordWriter) {
+	w.put(fingerprintVersion)
+	w.put(int64(r.Cores))
+	w.put(int64(r.Banks))
 
 	n := r.NumTasks()
-	putInt(h, int64(n))
+	w.put(int64(n))
 	for i := 0; i < n; i++ {
-		putInt(h, int64(r.WCET[i]))
-		putInt(h, int64(r.Core[i]))
-		putInt(h, int64(r.MinRelease[i]))
-		putInt(h, int64(r.Local[i]))
-		putInt(h, int64(r.Banks)) // row width: rows are always full Banks wide
+		w.put(int64(r.WCET[i]))
+		w.put(int64(r.Core[i]))
+		w.put(int64(r.MinRelease[i]))
+		w.put(int64(r.Local[i]))
+		w.put(int64(r.Banks)) // row width: rows are always full Banks wide
 		for _, d := range r.DemandRow(TaskID(i)) {
-			putInt(h, int64(d))
+			w.put(int64(d))
 		}
 	}
 
-	putInt(h, int64(len(r.Edges)))
+	w.put(int64(len(r.Edges)))
 	for _, e := range r.Edges {
-		putInt(h, int64(e.From))
-		putInt(h, int64(e.To))
-		putInt(h, int64(e.Words))
+		w.put(int64(e.From))
+		w.put(int64(e.To))
+		w.put(int64(e.Words))
 	}
 }
 
@@ -141,14 +137,15 @@ func (r *RawGraph) hashStatic(h hash.Hash) {
 // RawGraph analogue of Graph.OrderHasher, sharing the same frozen-midstate
 // mechanics and the same output bytes.
 func (r *RawGraph) OrderHasher() *OrderHasher {
-	h := sha256.New()
-	r.hashStatic(h)
+	w := wordWriter{h: sha256.New()}
+	r.hashStatic(&w)
+	w.flush()
 	//mialint:ignore hotpathalloc -- constructor: freezing the midstate allocates by design; hot paths reach it only through the per-image once-guard
 	bank := make([]int64, r.Cores)
 	for k := range bank {
 		bank[k] = int64(r.BankTable[k])
 	}
-	return newOrderHasher(h, bank)
+	return newOrderHasher(w.h, bank)
 }
 
 // Raw flattens the graph into its RawGraph form. Demand rows are
