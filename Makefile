@@ -94,7 +94,7 @@ pareto-smoke:
 # working on the image or a backend.
 engine-diff:
 	$(GO) test ./internal/engine -run \
-	  'TestEngineBitIdentical|TestEditedReschedule|TestRTABoundDominates|TestMetamorphic' -v
+	  'TestEngineBitIdentical|TestEditedReschedule|TestRTABoundDominates|TestMetamorphic|TestImageFingerprintMatchesGraph' -v
 
 # End-to-end smoke check for the analysis service: builds the real miaserve
 # binary, boots it on an ephemeral port, round-trips analyze → reschedule

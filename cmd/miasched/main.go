@@ -122,7 +122,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		Deadline:            model.Cycles(*deadline),
 		SeparateCompetitors: *separate,
 		DisableFastPath:     *oracle,
-		Cancel:              ctx.Done(),
 	}
 	var rec trace.Recorder
 	if *events || *partition >= 0 {

@@ -169,7 +169,7 @@ type Panel struct {
 // context-free variant: a sweep can run for minutes, and a library that
 // invents its own root context detaches the whole panel from the caller's
 // SIGINT handling (tests pass context.Background explicitly). Canceling
-// ctx aborts in-flight scheduler runs (through their Options.Cancel hook)
+// ctx aborts in-flight scheduler runs (the backends poll ctx.Done())
 // and stops launching further points. On cancellation the context error is
 // returned together with a non-nil partial panel (Truncated set, unmeasured
 // points Skipped), so callers can flush what was measured before exiting

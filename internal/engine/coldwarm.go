@@ -31,7 +31,7 @@ func (w *coldWarm) Orders() *Orders { return w.ord }
 func (w *coldWarm) Warm() bool { return false }
 
 func (w *coldWarm) Analyze(ctx context.Context) (*sched.Result, error) {
-	return w.run(w.img, w.ord, w.img.CancelWith(ctx))
+	return w.run(w.img, w.ord, ctx.Done())
 }
 
 func (w *coldWarm) AnalyzeCold(ctx context.Context) (*sched.Result, error) {

@@ -234,22 +234,110 @@ func TestEditedRescheduleMatchesDirectPath(t *testing.T) {
 	}
 }
 
-// TestImageFingerprintMatchesGraph pins the hash bridge: an image's
-// fingerprint equals the source graph's canonical fingerprint, so image
-// registries and graph registries key identically — and so does the flat
-// placement of the image's own configuration, whose demand is re-derived
-// under the same bank table the graph was compiled with.
+// TestImageFingerprintMatchesGraph pins the hash bridge over the whole
+// corpus: an image's fingerprint equals the source graph's canonical
+// fingerprint, so image registries and graph registries key identically —
+// and so does the flat placement of the image's own configuration, whose
+// demand is re-derived under the same bank table the graph was compiled
+// with.
 func TestImageFingerprintMatchesGraph(t *testing.T) {
-	g := gen.Figure1()
+	for ci, p := range diffCorpus() {
+		g := gen.MustLayered(p)
+		img, err := engine.Compile(g, sched.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := g.Fingerprint()
+		if img.Fingerprint() != want {
+			t.Fatalf("instance %d: image fingerprint %s != graph fingerprint %s", ci, img.Fingerprint(), want)
+		}
+		placed := img.Place(img.CoreOf, img.NewOrders().View(), img.BankTable)
+		if placed.Fingerprint() != want {
+			t.Fatalf("instance %d: identity Place fingerprint diverges", ci)
+		}
+	}
+}
+
+// TestShortDemandRowFingerprint pins the canonical row width: Graph.Validate
+// accepts a demand row shorter than Banks (a nil Demand included), and the
+// graph, its flat form and its image must all hash it as the zero-extended
+// full-width row — the router places uploads by the graph's fingerprint and
+// shards key images by the image's.
+func TestShortDemandRowFingerprint(t *testing.T) {
+	p := gen.NewParams(6, 8)
+	p.Cores, p.Banks = 8, 8
+	g := gen.MustLayered(p)
+	want := g.Fingerprint()
+	truncated := 0
+	for _, task := range g.Tasks() {
+		n := len(task.Demand)
+		for n > 0 && task.Demand[n-1] == 0 {
+			n--
+		}
+		if n < len(task.Demand) {
+			task.Demand = task.Demand[:n]
+			truncated++
+		}
+	}
+	if truncated == 0 {
+		t.Fatal("no demand row ends in a zero; pick another instance")
+	}
+	if err := g.Validate(); err != nil {
+		t.Fatal(err)
+	}
 	img, err := engine.Compile(g, sched.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if img.Fingerprint() != g.Fingerprint() {
-		t.Fatalf("image fingerprint %s != graph fingerprint %s", img.Fingerprint(), g.Fingerprint())
+	fp := g.Fingerprint()
+	if fp != want {
+		t.Errorf("Graph.Fingerprint with %d short rows = %s, want the full-width %s", truncated, fp, want)
 	}
-	placed := img.Place(img.CoreOf, img.NewOrders().View(), img.BankTable)
-	if placed.Fingerprint() != g.Fingerprint() {
-		t.Fatalf("identity Place fingerprint diverges")
+	if got := g.Raw().Fingerprint(); got != fp {
+		t.Errorf("RawGraph.Fingerprint = %s, graph's %s", got, fp)
+	}
+	if got := img.Fingerprint(); got != fp {
+		t.Errorf("Image.Fingerprint = %s, graph's %s", got, fp)
+	}
+}
+
+// TestCompileIsolatesImage pins Compile's copy contract: mutating the
+// source graph afterwards — an order swap, a WCET edit, an in-place demand
+// scale as the sensitivity search does it, an edge volume — reaches
+// neither the image's arrays nor its fingerprints.
+func TestCompileIsolatesImage(t *testing.T) {
+	g := gen.MustLayered(diffCorpus()[0])
+	img, err := engine.Compile(g, sched.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fp := g.Fingerprint()
+	want := img.WireBytes()
+
+	for k := 0; k < g.Cores; k++ {
+		if len(g.Order(model.CoreID(k))) >= 2 {
+			g.SwapOrder(model.CoreID(k), 0)
+			break
+		}
+	}
+	g.Task(0).WCET += 17
+	for _, task := range g.Tasks() {
+		for b := range task.Demand {
+			task.Demand[b] *= 3
+		}
+	}
+	g.Edges()[0].Words += 5
+	if g.Fingerprint() == fp {
+		t.Fatal("the mutations did not change the graph")
+	}
+
+	if got := img.WireBytes(); string(got) != string(want) {
+		t.Error("mutating the source graph changed the image's arrays")
+	}
+	if img.Fingerprint() != fp {
+		t.Errorf("image fingerprint %s, want the compile-time %s", img.Fingerprint(), fp)
+	}
+	if got := img.FingerprintOrders(img.NewOrders()); got != fp {
+		t.Errorf("image baseline overlay fingerprint %s, want %s", got, fp)
 	}
 }

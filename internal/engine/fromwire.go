@@ -34,6 +34,14 @@ func CompileRaw(raw *model.RawGraph, opts sched.Options) (*Image, error) {
 	if err := raw.Validate(); err != nil {
 		return nil, err
 	}
+	return build(raw, opts), nil
+}
+
+// build is the one image constructor behind Compile and CompileRaw: it
+// adopts a validated flat graph's arrays, resolves the options, and derives
+// the two structures the flat form omits — the demand bitset masks and the
+// CSR adjacency — in linear time.
+func build(raw *model.RawGraph, opts sched.Options) *Image {
 	opts.Arbiter = opts.EffectiveArbiter()
 	opts.Deadline = opts.EffectiveDeadline()
 
@@ -47,7 +55,7 @@ func CompileRaw(raw *model.RawGraph, opts sched.Options) (*Image, error) {
 		Opts:      opts,
 		raw:       raw,
 
-		// Adopted wholesale: the wire layout is the slab layout.
+		// Adopted wholesale: the flat layout is the slab layout.
 		WCET:       raw.WCET,
 		MinRelease: raw.MinRelease,
 		CoreOf:     raw.Core,
@@ -65,7 +73,7 @@ func CompileRaw(raw *model.RawGraph, opts sched.Options) (*Image, error) {
 	}
 	fillDemandMask(img.DemandMask, raw.Demand, raw.Banks, words)
 	buildAdjacency(img, raw.Edges, n)
-	return img, nil
+	return img
 }
 
 // fillDemandMask sets bit b of each task's mask row iff the task's demand
@@ -156,25 +164,7 @@ func buildAdjacency(img *Image, edges []model.Edge, n int) {
 	}
 }
 
-// WireBytes encodes the compiled image back into a wire blob — the flat
-// arrays are re-wrapped as a RawGraph view (no copying) and serialized.
+// WireBytes encodes the compiled image's flat form as a wire blob.
 // Decoding the blob yields an image with the same fingerprint and analysis
 // behavior, which is the image↔wire invariant DESIGN §3.8 documents.
-func (img *Image) WireBytes() []byte {
-	if img.raw != nil {
-		return wire.Encode(img.raw)
-	}
-	return wire.Encode(&model.RawGraph{
-		Cores:      img.Cores,
-		Banks:      img.Banks,
-		WCET:       img.WCET,
-		MinRelease: img.MinRelease,
-		Core:       img.CoreOf,
-		Local:      img.Local,
-		Demand:     img.Demand,
-		Edges:      img.g.Edges(),
-		OrderStart: img.OrderStart,
-		OrderIDs:   img.OrderIDs,
-		BankTable:  img.BankTable,
-	})
-}
+func (img *Image) WireBytes() []byte { return wire.Encode(img.raw) }

@@ -16,7 +16,6 @@
 package engine
 
 import (
-	"context"
 	"sync"
 
 	"github.com/mia-rt/mia/internal/model"
@@ -29,16 +28,17 @@ import (
 // (arbiter and deadline resolved). All exported fields and every slice
 // returned by an accessor are read-only by contract.
 //
-// Invariants established by Compile and relied on by every backend:
+// Invariants established by Compile and CompileRaw and relied on by every
+// backend:
 //
-//   - the source graph passed Validate: dense task IDs, acyclic
+//   - the source graph passed validation: dense task IDs, acyclic
 //     dependencies, per-core orders consistent with same-core edges, all
 //     magnitudes within model.MaxInput;
 //   - Demand rows are zero-extended to exactly Banks entries, so
 //     DemandRow(id)[b] is the task's demand on bank b with no bounds
 //     checks against ragged per-task rows;
-//   - CSR neighbor lists are sorted by task ID (inherited from the graph's
-//     adjacency), so iteration order — and therefore every accumulated
+//   - CSR neighbor lists are sorted by task ID (counting-sorted from the
+//     edge list), so iteration order — and therefore every accumulated
 //     result — is deterministic;
 //   - Opts.Arbiter is non-nil and Opts.Deadline is positive (Infinity
 //     when the caller set none).
@@ -89,12 +89,8 @@ type Image struct {
 	// resolved to their effective values.
 	Opts sched.Options
 
-	// Exactly one of g / raw is set at Compile time, and only fingerprints
-	// and edges read it. JSON-path images (Compile) carry a frozen private
-	// graph clone; flat-path images (CompileRaw, CompileFromWire) carry
-	// their flat form and never assemble a graph, which keeps graph
-	// assembly off the hot ingest path and out of the Pareto search.
-	g   *model.Graph
+	// raw is the flat form the image was built from; the arrays above
+	// alias it. Only Edges, the fingerprints and WireBytes read it.
 	raw *model.RawGraph
 
 	fpOnce sync.Once
@@ -107,68 +103,15 @@ type Image struct {
 	oh     *model.OrderHasher
 }
 
-// Compile validates g and flattens it into an immutable problem image
-// under the given options. The graph is cloned, so later mutations of g
-// (order swaps, demand edits) do not reach the image; recompile to pick
-// them up. Validation errors are returned as-is from model.Validate.
+// Compile validates g and builds an image from its flat form (see
+// model.Graph.Raw). The flat form is a copy, so later mutations of g (order
+// swaps, demand edits) do not reach the image; recompile to pick them up.
+// Validation errors are returned as-is from model.Graph.Validate.
 func Compile(g *model.Graph, opts sched.Options) (*Image, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err
 	}
-	opts.Arbiter = opts.EffectiveArbiter()
-	opts.Deadline = opts.EffectiveDeadline()
-
-	n := g.NumTasks()
-	words := (g.Banks + 63) / 64
-	img := &Image{
-		NumTasks:  n,
-		Cores:     g.Cores,
-		Banks:     g.Banks,
-		MaskWords: words,
-		Opts:      opts,
-		g:         g.Clone(),
-
-		WCET:       make([]model.Cycles, n),
-		MinRelease: make([]model.Cycles, n),
-		CoreOf:     make([]model.CoreID, n),
-		Local:      make([]model.Accesses, n),
-		Demand:     make([]model.Accesses, n*g.Banks),
-		DemandMask: make([]uint64, n*words),
-		SuccStart:  make([]int32, n+1),
-		PredStart:  make([]int32, n+1),
-		OrderStart: make([]int32, g.Cores+1),
-		BankTable:  make([]model.BankID, g.Cores),
-		// Edge and order totals are known up front, so the CSR payloads
-		// are sized exactly — the appends below never reallocate.
-		Succ:     make([]model.TaskID, 0, len(g.Edges())),
-		Pred:     make([]model.TaskID, 0, len(g.Edges())),
-		OrderIDs: make([]model.TaskID, 0, n),
-	}
-	for i, t := range g.Tasks() {
-		img.WCET[i] = t.WCET
-		img.MinRelease[i] = t.MinRelease
-		img.CoreOf[i] = t.Core
-		img.Local[i] = t.Local
-		copy(img.Demand[i*g.Banks:(i+1)*g.Banks], t.Demand)
-		mask := img.DemandMask[i*words : (i+1)*words]
-		for b, d := range t.Demand {
-			if d > 0 {
-				mask[b>>6] |= 1 << (uint(b) & 63)
-			}
-		}
-	}
-	for i := 0; i < n; i++ {
-		img.Succ = append(img.Succ, g.Successors(model.TaskID(i))...)
-		img.SuccStart[i+1] = int32(len(img.Succ))
-		img.Pred = append(img.Pred, g.Predecessors(model.TaskID(i))...)
-		img.PredStart[i+1] = int32(len(img.Pred))
-	}
-	for k := 0; k < g.Cores; k++ {
-		img.OrderIDs = append(img.OrderIDs, g.Order(model.CoreID(k))...)
-		img.OrderStart[k+1] = int32(len(img.OrderIDs))
-		img.BankTable[k] = g.BankOf(model.CoreID(k))
-	}
-	return img, nil
+	return build(g.Raw(), opts), nil
 }
 
 // DemandRow returns task id's per-bank demand: exactly Banks entries,
@@ -217,26 +160,15 @@ func (img *Image) Order(k model.CoreID) []model.TaskID {
 }
 
 // Edges returns the dependency edges of the compiled graph. Read-only.
-func (img *Image) Edges() []model.Edge {
-	if img.raw != nil {
-		return img.raw.Edges
-	}
-	return img.g.Edges()
-}
+func (img *Image) Edges() []model.Edge { return img.raw.Edges }
 
 // Fingerprint returns the canonical content hash of the compiled graph
 // with its baseline orders (see model.Graph.Fingerprint). Computed once,
-// lazily; safe for concurrent use. Wire-path and JSON-path images of the
-// same graph hash identically — model.RawGraph.Fingerprint replicates
-// model.Graph.Fingerprint byte for byte.
+// lazily; safe for concurrent use. It equals the source graph's
+// Fingerprint whichever path built the image — model.RawGraph.Fingerprint
+// replicates model.Graph.Fingerprint byte for byte.
 func (img *Image) Fingerprint() string {
-	img.fpOnce.Do(func() {
-		if img.raw != nil {
-			img.fp = img.raw.Fingerprint()
-		} else {
-			img.fp = img.g.Fingerprint()
-		}
-	})
+	img.fpOnce.Do(func() { img.fp = img.raw.Fingerprint() })
 	return img.fp
 }
 
@@ -256,13 +188,7 @@ func (img *Image) FingerprintOrders(o *Orders) string {
 // its closure does not escape, so steady-state calls stay allocation-free.
 func (img *Image) orderHasher() *model.OrderHasher {
 	//mialint:ignore hotpathalloc -- once-guard: the fast path is one atomic load and the non-escaping closure runs at most once per image
-	img.ohOnce.Do(func() {
-		if img.raw != nil {
-			img.oh = img.raw.OrderHasher()
-		} else {
-			img.oh = img.g.OrderHasher()
-		}
-	})
+	img.ohOnce.Do(func() { img.oh = img.raw.OrderHasher() })
 	return img.oh
 }
 
@@ -300,16 +226,4 @@ func (img *Image) Place(assign []model.CoreID, orders [][]model.TaskID, table []
 	}
 	raw.CompileDemands()
 	return raw
-}
-
-// CancelWith resolves the cancellation channel for one analysis run: the
-// context's Done channel when the context is cancellable, otherwise the
-// channel compiled into the image's options (context.Background reports a
-// nil Done channel, which would otherwise mask a caller-provided
-// Options.Cancel).
-func (img *Image) CancelWith(ctx context.Context) <-chan struct{} {
-	if d := ctx.Done(); d != nil {
-		return d
-	}
-	return img.Opts.Cancel
 }

@@ -15,32 +15,20 @@ const fingerprintVersion = 1
 
 // Fingerprint returns the canonical content hash of the graph: a hex-encoded
 // SHA-256 over the platform shape, every task's scheduling-relevant fields
-// (WCET, core, minimal release, compiled per-bank demand), the dependency
-// edges with their volumes, the per-core execution orders, and the core→bank
-// assignment. Two graphs with equal fingerprints are indistinguishable to
-// every scheduler in this repository — same inputs, same analysis, same
-// Result — which is what lets the analysis service key warm scheduler
-// checkpoints and cached parsed graphs by fingerprint alone.
+// (WCET, core, minimal release, compiled per-bank demand zero-extended to
+// Banks entries), the dependency edges with their volumes, the per-core
+// execution orders, and the core→bank assignment. Two graphs with equal
+// fingerprints are indistinguishable to every scheduler in this repository
+// — same inputs, same analysis, same Result — which is what lets the
+// analysis service key warm scheduler checkpoints and cached parsed graphs
+// by fingerprint alone.
 //
 // Task names are deliberately excluded (they are diagnostics, not inputs),
 // as is everything derivable from the hashed fields (adjacency, stats).
 func (g *Graph) Fingerprint() string {
-	return g.FingerprintWithOrders(g.order)
-}
-
-// FingerprintWithOrders returns the fingerprint the graph would have if
-// its per-core execution orders were replaced by orders — byte-identical
-// to cloning the graph, installing the orders, and calling Fingerprint.
-// It exists so a compiled engine image can hash an edited order overlay
-// without materializing a graph; every other hashed field comes from g.
-//
-// Callers hashing many order overlays of one graph should build an
-// OrderHasher once instead: it freezes the digest midstate after the
-// static sections, so each overlay pays only for its own bytes.
-func (g *Graph) FingerprintWithOrders(orders [][]TaskID) string {
 	w := wordWriter{h: sha256.New()}
 	g.hashStatic(&w)
-	hashOrders(&w, orders)
+	hashOrders(&w, g.order)
 	for k := 0; k < g.Cores; k++ {
 		w.put(int64(g.BankOf(CoreID(k))))
 	}
@@ -61,9 +49,15 @@ func (g *Graph) hashStatic(w *wordWriter) {
 		w.put(int64(t.Core))
 		w.put(int64(t.MinRelease))
 		w.put(int64(t.Local))
-		w.put(int64(len(t.Demand)))
+		// A short (or nil) row hashes like its zero-extended full-width
+		// form, which is how Raw lays it out.
+		width := max(len(t.Demand), g.Banks)
+		w.put(int64(width))
 		for _, d := range t.Demand {
 			w.put(int64(d))
+		}
+		for b := len(t.Demand); b < width; b++ {
+			w.put(0)
 		}
 	}
 
@@ -90,8 +84,9 @@ func hashOrders(w *wordWriter, orders [][]TaskID) {
 // the SHA-256 midstate after the static sections (platform shape, tasks,
 // edges) once, so each Sum hashes only the orders section and the bank
 // table — the per-scenario cost of fingerprinting an edit drops from
-// O(graph) to O(tasks). Sum(orders) is byte-identical to the corresponding
-// FingerprintWithOrders call; the differential suites pin this.
+// O(graph) to O(tasks). Sum(orders) is byte-identical to the Fingerprint of
+// the graph with its orders replaced by orders; the differential suites pin
+// this.
 //
 // An OrderHasher is immutable after construction and safe for concurrent
 // Sum calls.
@@ -100,24 +95,19 @@ type OrderHasher struct {
 	bank  []int64 // bank-table suffix hashed after the orders section
 }
 
-// OrderHasher returns a reusable overlay fingerprinter for this graph.
-func (g *Graph) OrderHasher() *OrderHasher {
+// OrderHasher returns a reusable overlay fingerprinter for this graph. The
+// stdlib SHA-256 digest implements encoding.BinaryMarshaler and never fails
+// to marshal; a failure here is a broken invariant, not an input condition.
+func (r *RawGraph) OrderHasher() *OrderHasher {
 	w := wordWriter{h: sha256.New()}
-	g.hashStatic(&w)
+	r.hashStatic(&w)
 	w.flush()
 	//mialint:ignore hotpathalloc -- constructor: freezing the midstate allocates by design; hot paths reach it only through the per-image once-guard
-	bank := make([]int64, g.Cores)
+	bank := make([]int64, r.Cores)
 	for k := range bank {
-		bank[k] = int64(g.BankOf(CoreID(k)))
+		bank[k] = int64(r.BankTable[k])
 	}
-	return newOrderHasher(w.h, bank)
-}
-
-// newOrderHasher freezes the digest midstate. The stdlib SHA-256 digest
-// implements encoding.BinaryMarshaler and never fails; a failure here is a
-// broken invariant, not an input condition.
-func newOrderHasher(h hash.Hash, bank []int64) *OrderHasher {
-	m, ok := h.(encoding.BinaryMarshaler)
+	m, ok := w.h.(encoding.BinaryMarshaler)
 	if !ok {
 		panic("model: sha256 digest does not marshal")
 	}

@@ -26,7 +26,7 @@ func orders(g *model.Graph) [][]model.TaskID {
 // TestFingerprintPinnedBytes pins the canonical serialization to literal
 // digests. Fingerprints are warm-cache keys, router placement keys and part
 // of golden fronts, so any encoder change must leave these bytes alone;
-// every hashing entry point — graph, flat form, and both order hashers —
+// every hashing entry point — graph, flat form and the order hasher —
 // must produce them.
 func TestFingerprintPinnedBytes(t *testing.T) {
 	const (
@@ -38,23 +38,20 @@ func TestFingerprintPinnedBytes(t *testing.T) {
 	r := g.Raw()
 	o := orders(g)
 	for name, got := range map[string]string{
-		"Graph.Fingerprint":           g.Fingerprint(),
-		"Graph.FingerprintWithOrders": g.FingerprintWithOrders(o),
-		"Graph.OrderHasher":           g.OrderHasher().Sum(o),
-		"RawGraph.Fingerprint":        r.Fingerprint(),
-		"RawGraph.FingerprintWith":    r.FingerprintWith(o),
-		"RawGraph.OrderHasher":        r.OrderHasher().Sum(o),
+		"Graph.Fingerprint":    g.Fingerprint(),
+		"RawGraph.Fingerprint": r.Fingerprint(),
+		"OrderHasher.Sum":      r.OrderHasher().Sum(o),
 	} {
 		if got != base {
 			t.Errorf("%s = %s, want %s", name, got, base)
 		}
 	}
 	o[0][0], o[0][1] = o[0][1], o[0][0]
+	c := overlay(g, o)
 	for name, got := range map[string]string{
-		"Graph.FingerprintWithOrders": g.FingerprintWithOrders(o),
-		"Graph.OrderHasher":           g.OrderHasher().Sum(o),
-		"RawGraph.FingerprintWith":    r.FingerprintWith(o),
-		"RawGraph.OrderHasher":        r.OrderHasher().Sum(o),
+		"Graph.Fingerprint":    c.Fingerprint(),
+		"RawGraph.Fingerprint": c.Raw().Fingerprint(),
+		"OrderHasher.Sum":      r.OrderHasher().Sum(o),
 	} {
 		if got != swapped {
 			t.Errorf("swapped %s = %s, want %s", name, got, swapped)
@@ -87,7 +84,7 @@ func TestFingerprintAllocsIndependentOfSize(t *testing.T) {
 			return func() { _ = r.Fingerprint() }
 		}},
 		{"OrderHasher.Sum", func(g *model.Graph) func() {
-			oh, o := g.OrderHasher(), orders(g)
+			oh, o := g.Raw().OrderHasher(), orders(g)
 			return func() { _ = oh.Sum(o) }
 		}},
 	}

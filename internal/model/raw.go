@@ -64,39 +64,19 @@ func (r *RawGraph) Order(k CoreID) []TaskID {
 }
 
 // Fingerprint returns the canonical content hash of the flattened graph,
-// byte-identical to Graph.Fingerprint on the graph it was flattened from
-// (provided that graph's demand rows were compiled to full Banks width, as
-// every ingestion path in this repository guarantees). The serialization is
-// the one documented on Graph.Fingerprint; keeping the two in lockstep is
-// what lets a wire-ingested image share warm-analyzer cache keys with a
-// JSON-ingested one.
+// byte-identical to Graph.Fingerprint on the graph it was flattened from.
+// The serialization is the one documented on Graph.Fingerprint; keeping the
+// two in lockstep is what lets a wire-ingested image share warm-analyzer
+// cache keys with a JSON-ingested one.
 func (r *RawGraph) Fingerprint() string {
-	return r.fingerprint(nil)
-}
-
-// FingerprintWith returns the fingerprint the graph would have if its
-// per-core execution orders were replaced by orders — the RawGraph analogue
-// of Graph.FingerprintWithOrders, used by engine images built from wire
-// blobs to hash edited order overlays.
-func (r *RawGraph) FingerprintWith(orders [][]TaskID) string {
-	return r.fingerprint(orders)
-}
-
-// fingerprint hashes the canonical serialization. orders == nil means "use
-// the CSR orders carried by the RawGraph itself".
-func (r *RawGraph) fingerprint(orders [][]TaskID) string {
 	w := wordWriter{h: sha256.New()}
 	r.hashStatic(&w)
-	if orders != nil {
-		hashOrders(&w, orders)
-	} else {
-		w.put(int64(r.Cores))
-		for k := 0; k < r.Cores; k++ {
-			order := r.Order(CoreID(k))
-			w.put(int64(len(order)))
-			for _, id := range order {
-				w.put(int64(id))
-			}
+	w.put(int64(r.Cores))
+	for k := 0; k < r.Cores; k++ {
+		order := r.Order(CoreID(k))
+		w.put(int64(len(order)))
+		for _, id := range order {
+			w.put(int64(id))
 		}
 	}
 	for k := 0; k < r.Cores; k++ {
@@ -133,26 +113,10 @@ func (r *RawGraph) hashStatic(w *wordWriter) {
 	}
 }
 
-// OrderHasher returns a reusable overlay fingerprinter for this graph: the
-// RawGraph analogue of Graph.OrderHasher, sharing the same frozen-midstate
-// mechanics and the same output bytes.
-func (r *RawGraph) OrderHasher() *OrderHasher {
-	w := wordWriter{h: sha256.New()}
-	r.hashStatic(&w)
-	w.flush()
-	//mialint:ignore hotpathalloc -- constructor: freezing the midstate allocates by design; hot paths reach it only through the per-image once-guard
-	bank := make([]int64, r.Cores)
-	for k := range bank {
-		bank[k] = int64(r.BankTable[k])
-	}
-	return newOrderHasher(w.h, bank)
-}
-
-// Raw flattens the graph into its RawGraph form. Demand rows are
-// zero-extended to exactly Banks entries; every ingestion path in this
-// repository compiles demands to full width before a RawGraph is taken, so
-// the extension is a no-op there and the flattened fingerprint matches the
-// graph's.
+// Raw flattens the graph into its RawGraph form. Every slice is copied, so
+// later mutation of g never reaches the result. Demand rows are
+// zero-extended to exactly Banks entries, which Graph.Fingerprint hashes
+// them as, so the flattened fingerprint always matches the graph's.
 func (g *Graph) Raw() *RawGraph {
 	n := len(g.tasks)
 	r := &RawGraph{

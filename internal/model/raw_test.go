@@ -71,63 +71,41 @@ func TestRawGraphRoundTrip(t *testing.T) {
 	}
 }
 
-func TestRawFingerprintWithMatchesGraphOrders(t *testing.T) {
-	for name, g := range rawTestGraphs(t) {
-		r := g.Raw()
-		// Build an explicit order overlay identical to the graph's own
-		// orders; FingerprintWith on it must match both fingerprints.
-		orders := make([][]model.TaskID, g.Cores)
-		for k := range orders {
-			orders[k] = append([]model.TaskID(nil), g.Order(model.CoreID(k))...)
-		}
-		if got, want := r.FingerprintWith(orders), g.FingerprintWithOrders(orders); got != want {
-			t.Errorf("%s: FingerprintWith %s, graph FingerprintWithOrders %s", name, got, want)
-		}
-		// A swapped overlay must change the hash and still agree between
-		// the two implementations.
-		swapped := false
-		for k := range orders {
-			if len(orders[k]) >= 2 {
-				orders[k][0], orders[k][1] = orders[k][1], orders[k][0]
-				swapped = true
-				break
-			}
-		}
-		if !swapped {
-			continue
-		}
-		got, want := r.FingerprintWith(orders), g.FingerprintWithOrders(orders)
-		if got != want {
-			t.Errorf("%s: swapped FingerprintWith %s, graph %s", name, got, want)
-		}
-		if got == g.Fingerprint() {
-			t.Errorf("%s: swapped overlay fingerprint did not change", name)
-		}
+// overlay returns the reference an overlay hash is held to: a clone of g
+// with its per-core orders replaced by orders.
+func overlay(g *model.Graph, orders [][]model.TaskID) *model.Graph {
+	c := g.Clone()
+	for k, order := range orders {
+		c.SetOrder(model.CoreID(k), order)
 	}
+	return c
 }
 
 // TestOrderHasherMatchesFingerprint pins the frozen-midstate fast path:
-// OrderHasher.Sum must be byte-identical to FingerprintWithOrders /
-// FingerprintWith for baseline and edited overlays, on both graph forms,
-// and a hasher must stay reusable across many Sum calls.
+// OrderHasher.Sum must be byte-identical to fingerprinting a graph clone
+// carrying the same orders, through both graph forms, for baseline and
+// edited overlays, and a hasher must stay reusable across many Sum calls.
 func TestOrderHasherMatchesFingerprint(t *testing.T) {
 	for name, g := range rawTestGraphs(t) {
-		r := g.Raw()
-		gh, rh := g.OrderHasher(), r.OrderHasher()
+		oh := g.Raw().OrderHasher()
 		orders := make([][]model.TaskID, g.Cores)
 		for k := range orders {
 			orders[k] = append([]model.TaskID(nil), g.Order(model.CoreID(k))...)
 		}
 		for round := 0; round < 3; round++ {
-			want := g.FingerprintWithOrders(orders)
-			if got := gh.Sum(orders); got != want {
-				t.Errorf("%s round %d: graph OrderHasher %s, want %s", name, round, got, want)
+			c := overlay(g, orders)
+			want := c.Fingerprint()
+			if got := oh.Sum(orders); got != want {
+				t.Errorf("%s round %d: OrderHasher %s, want %s", name, round, got, want)
 			}
-			if got := rh.Sum(orders); got != want {
-				t.Errorf("%s round %d: raw OrderHasher %s, want %s", name, round, got, want)
+			if got := c.Raw().Fingerprint(); got != want {
+				t.Errorf("%s round %d: flat overlay fingerprint %s, want %s", name, round, got, want)
 			}
 			if round == 0 && want != g.Fingerprint() {
 				t.Errorf("%s: baseline overlay hash %s differs from Fingerprint %s", name, want, g.Fingerprint())
+			}
+			if round == 1 && want == g.Fingerprint() {
+				t.Errorf("%s round %d: swapped overlay fingerprint did not change", name, round)
 			}
 			// Mutate the overlay for the next round: swap the first core
 			// with at least two tasks.

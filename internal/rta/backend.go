@@ -39,7 +39,7 @@ func init() { engine.Register(engine.RTA, backend{}) }
 
 // Analyze runs the compositional bound over the image's baseline orders.
 func (backend) Analyze(ctx context.Context, img *engine.Image) (*sched.Result, error) {
-	return analyzeImage(img, img.NewOrders(), img.CancelWith(ctx))
+	return analyzeImage(img, img.NewOrders(), ctx.Done())
 }
 
 // NewWarm returns an always-cold analyzer: the bound has no incremental

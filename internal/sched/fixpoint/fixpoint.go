@@ -64,15 +64,16 @@ const Algorithm = "fixpoint"
 // oscillates without converging (treated as unschedulable, as crossing the
 // deadline eventually would be).
 //
-// Schedule is the compatibility wrapper around the engine: it compiles a
-// fresh image on every call. Callers that analyze the same graph many times
-// should engine.Compile once and go through the engine façade.
+// Schedule is the uncancellable one-shot entry point: it compiles a fresh
+// image on every call and analyzes it once, to completion. Callers that
+// need cancellation, or that analyze the same graph many times, should
+// engine.Compile once and go through the engine façade with a context.
 func Schedule(g *model.Graph, opts sched.Options) (*sched.Result, error) {
 	img, err := engine.Compile(g, opts)
 	if err != nil {
 		return nil, err
 	}
-	return analyze(img, img.NewOrders(), img.Opts.Cancel)
+	return analyze(img, img.NewOrders(), nil)
 }
 
 // analyze runs the double fixed-point iteration over a compiled image,

@@ -17,7 +17,7 @@ func init() { engine.Register(engine.Incremental, backend{}) }
 // Analyze runs one cold analysis of the image's baseline orders.
 func (backend) Analyze(ctx context.Context, img *engine.Image) (*sched.Result, error) {
 	st := newState(img, img.NewOrders())
-	st.cancel = img.CancelWith(ctx)
+	st.cancel = ctx.Done()
 	return st.run()
 }
 

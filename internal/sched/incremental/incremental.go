@@ -56,10 +56,11 @@ const Algorithm = "incremental"
 // configured deadline is crossed or the per-core orders deadlock against
 // the dependency DAG; the graph itself is never mutated.
 //
-// Schedule is the compatibility wrapper around the engine: it compiles a
-// fresh image on every call (validation, adjacency flattening, demand
-// layout) and analyzes it once. Callers that analyze the same graph many
-// times should engine.Compile once and go through the engine façade.
+// Schedule is the uncancellable one-shot entry point: it compiles a fresh
+// image on every call (validation, flattening, adjacency) and analyzes it
+// once, to completion. Callers that need cancellation, or that analyze the
+// same graph many times, should engine.Compile once and go through the
+// engine façade with a context.
 func Schedule(g *model.Graph, opts sched.Options) (*sched.Result, error) {
 	img, err := engine.Compile(g, opts)
 	if err != nil {
@@ -137,7 +138,8 @@ type state struct {
 
 // newState builds the run state over a compiled image, reading the per-core
 // orders from ord. The image's compiled options select arbiter, deadline,
-// competitor merging, fast path, trace, and default cancellation.
+// competitor merging, fast path and trace; cancel stays nil (uncancellable)
+// unless the caller installs a context's Done channel.
 func newState(img *engine.Image, ord *engine.Orders) *state {
 	n := img.NumTasks
 	s := &state{
@@ -148,7 +150,6 @@ func newState(img *engine.Image, ord *engine.Orders) *state {
 		separate: img.Opts.SeparateCompetitors,
 		fast:     img.Opts.Arbiter.Additive() && !img.Opts.DisableFastPath,
 		trace:    img.Opts.Trace,
-		cancel:   img.Opts.Cancel,
 		res:      sched.NewResult(Algorithm, n, img.Banks),
 		depsLeft: make([]int, n),
 		headIdx:  make([]int, img.Cores),

@@ -39,9 +39,8 @@ const maxCheckpoints = 64
 // callers that need to keep one must copy it.
 //
 // Between calls the caller may mutate ONLY the Orders overlay. Every call
-// installs the context's cancellation (or the image's compiled
-// Options.Cancel for a non-cancellable context) for its own duration, so an
-// expired channel from an earlier request never poisons later runs. A
+// installs its context's cancellation for its own duration, so an expired
+// context from an earlier request never poisons later runs. A
 // canceled call returns sched.ErrCanceled and never corrupts the warm
 // state: a canceled Analyze leaves the analyzer without a baseline (the
 // next call runs cold), and a canceled Reschedule leaves the committed
@@ -81,7 +80,7 @@ func (w *warm) Warm() bool { return w.base }
 // t=0, rebuilding the checkpoint store as it goes, and commits them as the
 // warm-start baseline for subsequent Reschedule calls.
 func (w *warm) Analyze(ctx context.Context) (*sched.Result, error) {
-	w.st.cancel = w.img.CancelWith(ctx)
+	w.st.cancel = ctx.Done()
 	w.st.reset()
 	w.snaps = w.snaps[:0]
 	w.tick = 0
@@ -108,7 +107,7 @@ func (w *warm) Analyze(ctx context.Context) (*sched.Result, error) {
 // differential comparisons against Reschedule. The committed warm
 // baseline, if any, survives.
 func (w *warm) AnalyzeCold(ctx context.Context) (*sched.Result, error) {
-	w.st.cancel = w.img.CancelWith(ctx)
+	w.st.cancel = ctx.Done()
 	w.st.reset()
 	return w.st.run()
 }
@@ -135,7 +134,7 @@ func (w *warm) Reschedule(ctx context.Context, edits ...engine.Edit) (*sched.Res
 	if !w.base {
 		return w.Analyze(ctx)
 	}
-	w.st.cancel = w.img.CancelWith(ctx)
+	w.st.cancel = ctx.Done()
 	for i := len(w.snaps) - 1; i >= 0; i-- {
 		if snapSafe(&w.snaps[i], edits) {
 			w.st.restore(&w.snaps[i])

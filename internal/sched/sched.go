@@ -59,25 +59,6 @@ type Options struct {
 	// the data behind the paper's Figure 2 snapshot. It is ignored by the
 	// fixed-point baseline, which has no cursor.
 	Trace func(Event)
-
-	// Cancel, when non-nil and closed, aborts the analysis with
-	// ErrCanceled at the next algorithm step. The benchmark harness uses
-	// it to impose wall-clock timeouts on the O(n⁴) baseline, as the
-	// paper's benchmarks do.
-	Cancel <-chan struct{}
-}
-
-// Canceled reports whether the options' cancel channel is closed.
-func (o Options) Canceled() bool {
-	if o.Cancel == nil {
-		return false
-	}
-	select {
-	case <-o.Cancel:
-		return true
-	default:
-		return false
-	}
 }
 
 // EffectiveArbiter resolves the arbitration policy, applying the default.
@@ -152,8 +133,8 @@ func (e Event) String() string {
 // callers can test errors.Is(err, sched.ErrUnschedulable).
 var ErrUnschedulable = errors.New("unschedulable")
 
-// ErrCanceled reports an analysis aborted through Options.Cancel. It is a
-// measurement artifact (timeout), not a schedulability verdict.
+// ErrCanceled reports an analysis aborted because its context was done. It
+// is a measurement artifact (timeout), not a schedulability verdict.
 var ErrCanceled = errors.New("analysis canceled")
 
 // UnschedulableError reports why and when an analysis gave up.

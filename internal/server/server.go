@@ -119,7 +119,6 @@ func (c Config) withDefaults() Config {
 		c.MaxJobs = 2
 	}
 	c.Sched.Trace = nil
-	c.Sched.Cancel = nil
 	return c
 }
 
